@@ -13,6 +13,7 @@
 
 #include "core/engine.hpp"
 #include "core/hhh_types.hpp"
+#include "core/memento_hhh.hpp"
 #include "harness/trace_builder.hpp"
 #include "net/hierarchy.hpp"
 #include "service/merge.hpp"
@@ -44,6 +45,37 @@ Scope engine_scope(std::unique_ptr<HhhEngine> engine, std::string label) {
   scope.label = std::move(label);
   scope.engine = std::move(engine);
   return scope;
+}
+
+// A Memento vantage as the collector sees it: serialized to a frame and
+// decoded back through decode_scope().
+Scope memento_scope(const MementoDetector& detector, std::string label) {
+  std::vector<std::uint8_t> payload;
+  wire::Writer w(payload);
+  detector.save_state(w);
+  const auto bytes = wire::build_frame(wire::SnapshotKind::kMementoDetector, payload);
+  return decode_scope(wire::parse_frame(bytes), std::move(label));
+}
+
+// A Memento vantage seeing 600 x 100 B from 10.0.0.1 (0.6 T at T = 100 kB)
+// next to 2000 x 100 B from its own genuine heavy hitter `local_heavy`.
+std::unique_ptr<MementoHhhDetector> memento_vantage(Ipv4Address local_heavy,
+                                                    std::uint64_t seed) {
+  auto det = std::make_unique<MementoHhhDetector>(
+      MementoHhhParams{.window = Duration::seconds(10), .seed = seed});
+  for (std::size_t i = 0; i < 2000; ++i) {
+    const double t = 0.0004 * static_cast<double>(i);
+    det->offer(harness::packet_at(t, local_heavy, 100));
+    if (i % 10 < 3) det->offer(harness::packet_at(t, Ipv4Address::of(10, 0, 0, 1), 100));
+  }
+  return det;
+}
+
+std::vector<std::uint8_t> saved_state(const MergeLedger& ledger) {
+  std::vector<std::uint8_t> bytes;
+  wire::Writer w(bytes);
+  ledger.save_state(w);
+  return bytes;
 }
 
 bool set_contains(const HhhSet& set, const PrefixKey& p) { return set.contains(p); }
@@ -288,6 +320,90 @@ TEST(MergeLedger, SavedGroupFramesAreTheCollectorsInputFormat) {
   Scope merged = decode_scope(view, "merged");
   ASSERT_NE(merged.engine, nullptr);
   EXPECT_EQ(merged.engine->total_bytes(), 1200u);
+}
+
+// ---------------------------------------------------------------- Memento
+
+TEST(MergeLedgerMemento, SplitSourceIsRevealedAsHidden) {
+  // 10.0.0.1 sends ~0.6 T through each of two Memento vantages: under T
+  // at both, ~1.2 T once merged.
+  MergeLedger ledger(Thresholds{.threshold_bytes = 100000.0});
+  const HhhSet local1 =
+      ledger.fold(memento_scope(*memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1), "m1"));
+  const HhhSet local2 =
+      ledger.fold(memento_scope(*memento_vantage(Ipv4Address::of(30, 0, 0, 1), 2), "m2"));
+  EXPECT_FALSE(set_contains(local1, prefix("10.0.0.1/32")));
+  EXPECT_FALSE(set_contains(local2, prefix("10.0.0.1/32")));
+  EXPECT_TRUE(set_contains(local1, prefix("20.0.0.1/32")));
+  EXPECT_TRUE(set_contains(local2, prefix("30.0.0.1/32")));
+
+  const LedgerReport report = ledger.report();
+  ASSERT_EQ(report.groups.size(), 1u);
+  EXPECT_EQ(report.groups[0].key, "memento");
+  EXPECT_EQ(report.groups[0].merged.total_bytes, 2u * 260000u);  // exact window totals
+  EXPECT_TRUE(set_contains(report.groups[0].merged, prefix("10.0.0.1/32")));
+  EXPECT_TRUE(hidden_contains(report, prefix("10.0.0.1/32")));
+  EXPECT_FALSE(hidden_contains(report, prefix("20.0.0.1/32")));
+  EXPECT_FALSE(hidden_contains(report, prefix("30.0.0.1/32")));
+}
+
+TEST(MergeLedgerMemento, AbsorbMatchesDirectFolding) {
+  const Thresholds t{.threshold_bytes = 100000.0};
+  const auto v1 = memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1);
+  const auto v2 = memento_vantage(Ipv4Address::of(30, 0, 0, 1), 2);
+
+  MergeLedger direct(t);
+  direct.fold(memento_scope(*v1, "m1"));
+  direct.fold(memento_scope(*v2, "m2"));
+  MergeLedger epoch1(t);
+  epoch1.fold(memento_scope(*v1, "m1"));
+  MergeLedger epoch2(t);
+  epoch2.fold(memento_scope(*v2, "m2"));
+  MergeLedger cumulative(t);
+  cumulative.absorb(std::move(epoch1));
+  cumulative.absorb(std::move(epoch2));
+
+  const LedgerReport want = direct.report();
+  const LedgerReport got = cumulative.report();
+  ASSERT_EQ(got.groups.size(), 1u);
+  EXPECT_EQ(got.groups[0].key, want.groups[0].key);
+  expect_same_set(got.groups[0].merged, want.groups[0].merged);
+  EXPECT_EQ(got.hidden, want.hidden);
+  EXPECT_TRUE(hidden_contains(got, prefix("10.0.0.1/32")));
+  EXPECT_EQ(got.scopes_folded, 2u);
+  EXPECT_EQ(cumulative.save_group_frames(), direct.save_group_frames());
+}
+
+TEST(MergeLedgerMemento, SaveLoadSaveIsByteIdentical) {
+  MergeLedger ledger(Thresholds{.threshold_bytes = 100000.0});
+  ledger.fold(memento_scope(*memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1), "m1"));
+  ledger.fold(memento_scope(*memento_vantage(Ipv4Address::of(30, 0, 0, 1), 2), "m2"));
+  const auto bytes = saved_state(ledger);
+
+  MergeLedger restored(Thresholds{.threshold_bytes = 100000.0});
+  wire::Reader r(bytes);
+  restored.load_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(saved_state(restored), bytes);
+
+  const LedgerReport before = ledger.report();
+  const LedgerReport after = restored.report();
+  ASSERT_EQ(after.groups.size(), 1u);
+  expect_same_set(after.groups[0].merged, before.groups[0].merged);
+  EXPECT_EQ(after.hidden, before.hidden);
+}
+
+TEST(MergeLedgerMemento, EngineAndMementoScopesFormTwoGroups) {
+  auto engine = v4_engine();
+  feed(*engine, Ipv4Address::of(10, 0, 0, 1), 100, 10);
+  MergeLedger ledger;
+  ledger.fold(engine_scope(std::move(engine), "e"));
+  ledger.fold(memento_scope(*memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1), "m"));
+  const LedgerReport report = ledger.report();
+  ASSERT_EQ(report.groups.size(), 2u);
+  EXPECT_EQ(report.groups[0].key, "exact");
+  EXPECT_EQ(report.groups[1].key, "memento");
+  EXPECT_EQ(ledger.save_group_frames().size(), 2u);
 }
 
 }  // namespace

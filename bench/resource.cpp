@@ -20,11 +20,9 @@
 #include "core/rhhh.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "dataplane/hashpipe.hpp"
 #include "dataplane/p4_tdbf.hpp"
 #include "sketch/univmon.hpp"
-#include "sketch/wcss.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;
@@ -64,19 +62,6 @@ int main(int argc, char** argv) {
     for (const auto& p : packets) engine.add(p);
     mem.add_row({"full-ancestry (eps=0.5%)", human_bytes(engine.memory_bytes()),
                  str_format("%zu trie entries", engine.entry_count())});
-  }
-  {
-    WindowedSpaceSaving wss({.window = Duration::seconds(10), .frames = 10,
-                             .counters_per_frame = 512});
-    for (const auto& p : packets) wss.update(p.src().v4().bits(), p.ip_len, p.ts);
-    mem.add_row({"wcss-style sliding HH", human_bytes(wss.memory_bytes()),
-                 "11 frame summaries"});
-  }
-  {
-    WcssSlidingHhhDetector det({.window = Duration::seconds(10)});
-    for (const auto& p : packets) det.offer(p);
-    mem.add_row({"wcss sliding HHH (W=10s)", human_bytes(det.memory_bytes()),
-                 "fixed: 5 levels x 11 frame summaries"});
   }
   // The Memento detector's state is a fixed arena sized by Params alone:
   // replaying the trace a second time (timestamps shifted to stay

@@ -20,10 +20,10 @@
 #include "bench_common.hpp"
 #include "core/disjoint_window.hpp"
 #include "core/hidden_analysis.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;
@@ -82,12 +82,11 @@ int main(int argc, char** argv) {
       det.finish(packets.back().ts);
       rows.push_back({"disjoint+rhhh", u.values(), det.engine().memory_bytes()});
     }
-    // WCSS-backed sliding HHH (ref [1] lifted to HHH): sharp window
-    // semantics with bounded state, queried at every step like the exact
-    // sliding ground truth.
+    // Memento sliding HHH (arXiv 1810.02899, the line of work of ref
+    // [1]): sharp window semantics with bounded state, queried at every
+    // step like the exact sliding ground truth.
     {
-      WcssSlidingHhhDetector det({.window = window, .frames = 10,
-                                  .counters_per_level = 512});
+      MementoHhhDetector det({.window = window, .frames = 10, .counters_per_level = 512});
       PrefixUnion u;
       TimePoint next_query = TimePoint() + window;
       for (const auto& p : packets) {
@@ -97,7 +96,7 @@ int main(int argc, char** argv) {
           next_query += step;
         }
       }
-      rows.push_back({"wcss-sliding", u.values(), det.memory_bytes()});
+      rows.push_back({"memento-sliding", u.values(), det.memory_bytes()});
     }
     // Windowless TDBF-HHH. Queried 4x per step: a windowless detector can
     // be queried at any instant, which is exactly its operational edge
@@ -140,8 +139,8 @@ int main(int argc, char** argv) {
   std::fputs(table.to_console().c_str(), stdout);
   std::printf("\nshape: the window-boundary-free detectors recover the hidden HHHs the "
               "disjoint models miss by construction (rhhh only stumbles on a few via "
-              "estimation noise). wcss-sliding keeps sharp window semantics and tracks "
-              "the sliding truth almost perfectly; tdbf-hhh trades some fidelity for "
+              "estimation noise). memento-sliding keeps sharp window semantics with "
+              "one sampled level update per packet; tdbf-hhh trades some fidelity for "
               "in-place exponential decay implementable in one RMW per stage "
               "(see bench/resource).\n");
   if (!opt.csv_path.empty()) {

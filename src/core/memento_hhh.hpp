@@ -13,12 +13,12 @@
 /// sampled, so phi-relative thresholds are computed against the true
 /// trailing volume.
 ///
-/// Against WcssSlidingHhhDetector this keeps the same sharp window
-/// semantics and epsilon class while replacing O(H) per-packet updates
-/// with per-update frame-ring scans by one sampled amortized-O(1) update
-/// — the `sliding` section of bench/throughput measures the gap. Unlike
-/// WCSS (IPv4-only) it is family-generic: `MementoHhhDetector` (v4) and
-/// `MementoHhhV6Detector` (v6) instantiate one template.
+/// Against ref [1]'s windowed Space-Saving lifted to every level (O(H)
+/// per-packet updates, each scanning a ring of per-frame summaries) this
+/// keeps the same sharp window semantics and epsilon class with one
+/// sampled amortized-O(1) update per packet (arXiv 1810.02899). It is
+/// family-generic: `MementoHhhDetector` (v4) and `MementoHhhV6Detector`
+/// (v6) instantiate one template.
 #pragma once
 
 #include <cstdint>

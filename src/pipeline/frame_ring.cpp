@@ -1,58 +1,13 @@
 #include "pipeline/frame_ring.hpp"
 
-#include <algorithm>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
-#include "core/engine.hpp"
-#include "core/memento_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
 
 namespace hhh::pipeline {
-
-namespace {
-
-/// The merge head an interval query accumulates into: exactly one of the
-/// three state families, mirroring service::Scope without depending on
-/// service/ (the ring is a pipeline-layer facility).
-struct MergeHead {
-  std::string key;
-  std::unique_ptr<HhhEngine> engine;
-  std::unique_ptr<WcssSlidingHhhDetector> wcss;
-  std::unique_ptr<MementoDetector> memento;
-  TimePoint watermark;  // max sliding high_watermark folded
-};
-
-MergeHead decode_head(const RetainedFrame& retained) {
-  const wire::FrameView frame = wire::parse_frame(retained.frame);
-  wire::check(frame.frame_size == retained.frame.size(),
-              wire::WireError::kTrailingBytes,
-              "retained bytes continue past their frame");
-  MergeHead head;
-  if (frame.kind == wire::SnapshotKind::kWcssDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    head.wcss = WcssSlidingHhhDetector::deserialize(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
-    head.key = "wcss";
-    head.watermark = head.wcss->high_watermark();
-  } else if (frame.kind == wire::SnapshotKind::kMementoDetector) {
-    wire::Reader r(frame.payload, frame.version);
-    head.memento = deserialize_memento_detector(r);
-    wire::check(r.done(), wire::WireError::kTrailingBytes,
-                "payload continues past detector state");
-    head.key = head.memento->name();
-    head.watermark = head.memento->high_watermark();
-  } else {
-    head.engine = wire::load_engine(frame);
-    head.key = head.engine->name();
-  }
-  return head;
-}
-
-}  // namespace
 
 FrameRing::FrameRing(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
@@ -94,39 +49,30 @@ IntervalReport FrameRing::query_interval(TimePoint t1, TimePoint t2,
   const std::vector<const RetainedFrame*> selected = frames_in(t1, t2);
   if (selected.empty()) return out;
 
-  MergeHead merged;
+  std::optional<wire::DecodedSummary> merged;
   for (const RetainedFrame* retained : selected) {
-    MergeHead head = decode_head(*retained);
-    if (out.frames_merged == 0) {
-      merged = std::move(head);
+    const wire::FrameView frame = wire::parse_frame(retained->frame);
+    wire::check(frame.frame_size == retained->frame.size(),
+                wire::WireError::kTrailingBytes,
+                "retained bytes continue past their frame");
+    wire::DecodedSummary summary = wire::DecodedSummary::decode(frame);
+    if (!merged) {
+      merged = std::move(summary);
       out.covered_start = retained->start;
     } else {
-      if (head.key != merged.key) {
+      if (summary.key() != merged->key()) {
         throw std::invalid_argument(
             "FrameRing::query_interval: mixed frame groups in interval ('" +
-            merged.key + "' vs '" + head.key + "')");
+            merged->key() + "' vs '" + summary.key() + "')");
       }
-      if (merged.engine) {
-        merged.engine->merge_from(*head.engine);
-      } else if (merged.wcss) {
-        merged.wcss->merge_from(*head.wcss);
-      } else {
-        merged.memento->merge_from(*head.memento);
-      }
-      merged.watermark = std::max(merged.watermark, head.watermark);
+      merged->merge_from(summary);
     }
     ++out.frames_merged;
     out.covered_end = retained->end;
   }
 
-  if (merged.engine) {
-    out.hhhs = merged.engine->extract(phi);
-  } else if (merged.wcss) {
-    out.hhhs = merged.wcss->query(merged.watermark, phi);
-  } else {
-    out.hhhs = merged.memento->query(merged.watermark, phi);
-  }
-  out.group = merged.key;
+  out.hhhs = merged->report(phi);
+  out.group = merged->key();
   return out;
 }
 

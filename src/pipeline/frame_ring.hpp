@@ -24,8 +24,9 @@
 /// produce the same HHH set as an offline merge of those frames
 /// (pipeline_frame_ring_test pins this).
 ///
-/// Layering: sits above wire/ and core/ (it decodes engine, WCSS and
-/// Memento frames itself) and beside the sinks; service/ is not involved.
+/// Layering: sits above wire/ and core/ (frames decode through
+/// wire::DecodedSummary, the type the collector's ledger merges too) and
+/// beside the sinks; service/ is not involved.
 #pragma once
 
 #include <cstdint>

@@ -8,12 +8,12 @@
 ///  * the policy decides *when* a report is due and whether closing it
 ///    resets the state (disjoint) or not (sliding/decaying);
 ///  * the stage decides *how* the report is computed: extract() on a
-///    resettable HhhEngine, a trailing-window query on a WCSS detector,
-///    a continuous-time query on decaying TDBF state, or the exact
-///    rolling sliding-window computation.
+///    resettable HhhEngine, a trailing-window query on a Memento
+///    detector, a continuous-time query on decaying TDBF state, or the
+///    exact rolling sliding-window computation.
 ///
 /// Stage + policy pairings mirror the paper's models: engine x disjoint
-/// (Fig. 1a), wcss/sliding-exact x sliding (Fig. 1b), tdbf x query
+/// (Fig. 1a), memento/sliding-exact x sliding (Fig. 1b), tdbf x query
 /// cadence (§3's windowless monitor).
 #pragma once
 
@@ -27,7 +27,6 @@
 #include "core/memento_hhh.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "net/packet.hpp"
 #include "pipeline/window_policy.hpp"
 
@@ -73,7 +72,7 @@ class MeasurementStage {
   /// Resident footprint of the measurement state.
   virtual std::size_t memory_bytes() const = 0;
 
-  /// Stable stage identifier ("engine:exact", "wcss", ...).
+  /// Stable stage identifier ("engine:exact", "memento", ...).
   virtual std::string name() const = 0;
 };
 
@@ -81,12 +80,6 @@ class MeasurementStage {
 /// stage: report = extract(phi), reset_state = engine reset, snapshot =
 /// wire::save_engine. Pair with the disjoint policy.
 std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhEngine> engine);
-
-/// WCSS sliding-window stage: report = query(event.end, phi) over the
-/// trailing window; never resets; snapshots as a kWcssDetector frame.
-/// Pair with the sliding policy (step <= window).
-std::unique_ptr<MeasurementStage> make_wcss_stage(
-    const WcssSlidingHhhDetector::Params& params);
 
 /// Exact sliding-window stage over SlidingWindowHhhDetector. The policy's
 /// sliding schedule must match the detector's (same window/step/

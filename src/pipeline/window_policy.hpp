@@ -7,7 +7,7 @@
 /// continuous-time queries (§3, a query cadence over decaying state).
 /// Before the pipeline runtime, each model's boundary bookkeeping was
 /// baked into its detector (DisjointWindowHhhDetector's window cursor,
-/// WcssSlidingHhhDetector callers' ad-hoc query loops). A WindowPolicy
+/// sliding-detector callers' ad-hoc query loops). A WindowPolicy
 /// extracts exactly that bookkeeping: it owns the report schedule — *when*
 /// a report is due, *what* interval it covers, and *whether* closing it
 /// resets the measurement state — while the MeasurementStage owns how the
@@ -84,7 +84,7 @@ std::unique_ptr<WindowPolicy> make_disjoint_policy(Duration window);
 /// model): event k covers ((k+1)*s - W, (k+1)*s]. With `full_windows_only`
 /// (the paper's methodology) the schedule starts at the first step with a
 /// full window of history, i.e. index W/s - 1. Closing never resets — the
-/// stage's state must expire by time (WCSS frames, the exact rolling
+/// stage's state must expire by time (Memento frames, the exact rolling
 /// detector's buckets). Requires window % step == 0.
 std::unique_ptr<WindowPolicy> make_sliding_policy(Duration window, Duration step,
                                                   bool full_windows_only = true);

@@ -14,7 +14,7 @@
 ///      (epoch alignment would be meaningless).
 ///   2. `kEpochFrame`* — one per closed window: the window span, a
 ///      per-connection sequence number, and exactly one embedded inner
-///      snapshot frame (an engine or WCSS detector snapshot — whatever
+///      snapshot frame (an engine or Memento detector snapshot — whatever
 ///      `hhh-collector` accepts offline).
 ///   3. `kStreamBye` — clean end of stream, carrying the sender's frame
 ///      count. The collector answers with its own bye frame as an ack;

@@ -3,14 +3,14 @@
 /// offline `hhh-collector` tool and the `hhh-collectord` daemon, so the
 /// file path and the socket path cannot drift.
 ///
-/// A ledger folds vantage *scopes* (decoded snapshot frames: one engine,
-/// one WCSS sliding detector, or one Memento sliding detector each) and
-/// maintains:
+/// A ledger folds vantage *scopes* (decoded snapshot frames: one
+/// wire::DecodedSummary each — an engine or a Memento sliding detector)
+/// and maintains:
 ///
-///   * per compatibility group (keyed by engine name; WCSS detectors key
-///     as "wcss", Memento detectors as their family name), a running
-///     merged head via the same
-///     merge_from() semantics the sharded front-end uses in-process;
+///   * per compatibility group (keyed by DecodedSummary::key(): the
+///     engine name, or "memento" / "memento_v6"), a running merged head
+///     via the same merge_from() semantics the sharded front-end uses
+///     in-process;
 ///   * the union of every scope's *locally extracted* HHH prefixes —
 ///     extraction happens inside fold(), before the scope is merged,
 ///     exactly like the tool's pre-merge extraction pass.
@@ -24,15 +24,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/engine.hpp"
 #include "core/hhh_types.hpp"
-#include "core/memento_hhh.hpp"
-#include "core/wcss_hhh.hpp"
-#include "util/sim_time.hpp"
 #include "wire/snapshot.hpp"
 
 namespace hhh::service {
@@ -51,23 +46,21 @@ struct Thresholds {
   double scope_phi(double scope_total) const;
 };
 
-/// One decoded vantage contribution: exactly one of engine/wcss/memento
-/// is set.
+/// One decoded vantage contribution.
 struct Scope {
-  std::string label;                            ///< origin (stats, logs)
-  std::unique_ptr<HhhEngine> engine;            ///< engine snapshots
-  std::unique_ptr<WcssSlidingHhhDetector> wcss; ///< WCSS sliding snapshots
-  std::unique_ptr<MementoDetector> memento;     ///< Memento sliding snapshots
+  std::string label;             ///< origin (stats, logs)
+  wire::DecodedSummary summary;  ///< the vantage's engine or detector state
 };
 
-/// Decode one snapshot frame into a Scope. Throws wire::WireFormatError
-/// on malformed payloads and for frame kinds that are not vantage state
-/// (stream-protocol frames, checkpoints).
+/// Decode one snapshot frame into a Scope (wire::DecodedSummary::decode).
+/// Throws wire::WireFormatError on malformed payloads and for frame kinds
+/// that are not vantage state (stream-protocol frames, checkpoints, the
+/// retired kind 6).
 Scope decode_scope(const wire::FrameView& frame, std::string label);
 
 /// One merged compatibility group in a report.
 struct GroupReport {
-  std::string key;  ///< engine name; sliding detectors key as "wcss" /
+  std::string key;  ///< engine name; sliding detectors key as
                     ///< "memento" / "memento_v6"
   HhhSet merged;    ///< the group's network-wide HHH set
 };
@@ -114,7 +107,8 @@ class MergeLedger {
   void save_state(wire::Writer& w) const;
 
   /// Restore state written by save_state() into an empty ledger. Throws
-  /// wire::WireFormatError on malformed input.
+  /// wire::WireFormatError on malformed input, including a group whose
+  /// recorded key or watermark disagrees with its frame.
   void load_state(wire::Reader& r);
 
   /// Vantage scopes folded (directly or via absorb).
@@ -125,18 +119,11 @@ class MergeLedger {
   const Thresholds& thresholds() const noexcept { return thresholds_; }
 
  private:
-  struct Group {
-    std::string key;
-    std::unique_ptr<HhhEngine> engine;
-    std::unique_ptr<WcssSlidingHhhDetector> wcss;
-    std::unique_ptr<MementoDetector> memento;
-    TimePoint watermark;  ///< max high_watermark folded (sliding query instant)
-  };
-
-  Group* find_group(const std::string& key);
+  /// Merge `summary` into the group of its key, or open a new group.
+  void merge_into_group(wire::DecodedSummary summary);
 
   Thresholds thresholds_;
-  std::vector<Group> groups_;
+  std::vector<wire::DecodedSummary> groups_;  // one merged head per key
   PrefixUnion seen_locally_;
   std::size_t scopes_folded_ = 0;
 };

@@ -33,7 +33,8 @@ std::int64_t BasicMementoSummary<D>::frame_index(TimePoint t) const noexcept {
 template <typename D>
 std::int64_t BasicMementoSummary<D>::oldest_live() const noexcept {
   // Frame (current - frames) is only partially expired and stays live for
-  // the conservative overestimate, exactly like WCSS's ring.
+  // the conservative overestimate, as in the windowed Space-Saving of
+  // ref [1].
   return current_frame_ - static_cast<std::int64_t>(params_.frames);
 }
 

@@ -2,11 +2,12 @@
 /// Memento-style sliding-window heavy hitters (Ben Basat, Einziger,
 /// Friedman, Kassner — "Memento: making sliding windows efficient for
 /// heavy hitters", CoNEXT 2018 / arXiv 1810.02899): O(1) amortized window
-/// maintenance, versus WCSS's per-update scan over the frame ring.
+/// maintenance, versus a per-update scan over a ring of per-frame
+/// summaries in the windowed Space-Saving of the paper's ref [1].
 ///
-/// Like WCSS (sketch/wcss.hpp) the trailing window W is decomposed into
-/// `frames` equal sub-frames, but the decomposition is inverted: instead
-/// of one Space-Saving summary *per frame* (m+1 summaries whose expiry is
+/// Like that design the trailing window W is decomposed into `frames`
+/// equal sub-frames, but the decomposition is inverted: instead of one
+/// Space-Saving summary *per frame* (m+1 summaries whose expiry is
 /// re-checked on every update and whose live entries are re-merged on
 /// every query), ONE bounded table of `counters` slots spans the whole
 /// window, and each slot keeps a tiny succession-of-frames ring of
@@ -28,12 +29,12 @@
 /// Guarantees (capacity k, m frames, window weight N): window counts are
 /// overestimates; every key with window weight > (1/k + 1/m) * N occupies
 /// a slot, with the oldest partially-expired frame included conservatively
-/// (the same epsilon ~ 1/k + 1/m class as WCSS, at a fraction of the
-/// update cost — compare the `sliding` section of bench/throughput).
+/// (the epsilon ~ 1/k + 1/m class of ref [1]'s per-frame design, at a
+/// fraction of its update cost; arXiv 1810.02899).
 ///
 /// Templated on the key domain (net/key_domain.hpp), so the per-level
 /// summaries of core/memento_hhh.hpp serve both IPv4 and IPv6
-/// hierarchies; WindowedSpaceSaving is 64-bit-key-only by comparison.
+/// hierarchies.
 #pragma once
 
 #include <cstdint>
@@ -97,7 +98,7 @@ class BasicMementoSummary {
   /// the union of tracked keys exceeds the capacity only the heaviest
   /// `counters` merged keys survive (anything dropped has merged count
   /// <= every survivor's, the Space-Saving merge invariant). Per-key
-  /// overestimates sum, exactly as for WindowedSpaceSaving merges.
+  /// overestimates sum, as for Space-Saving merges.
   /// Self-merge doubles every count. Throws std::invalid_argument on a
   /// Params mismatch.
   void merge_from(const BasicMementoSummary& other);

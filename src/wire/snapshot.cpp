@@ -2,10 +2,13 @@
 
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
+#include <utility>
 
 #include "core/ancestry_hhh.hpp"
 #include "core/engine.hpp"
 #include "core/exact_engine.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
 #include "core/univmon_hhh.hpp"
 
@@ -18,7 +21,7 @@ const char* to_string(SnapshotKind kind) noexcept {
     case SnapshotKind::kAncestryEngine: return "ancestry_engine";
     case SnapshotKind::kUnivmonEngine: return "univmon_engine";
     case SnapshotKind::kShardedEngine: return "sharded_engine";
-    case SnapshotKind::kWcssDetector: return "wcss_detector";
+    case SnapshotKind::kRetired6: return "retired_6";
     case SnapshotKind::kTdbfDetector: return "tdbf_detector";
     case SnapshotKind::kDisjointWindow: return "disjoint_window";
     case SnapshotKind::kStreamHello: return "stream_hello";
@@ -145,6 +148,13 @@ std::vector<std::uint8_t> save_engine(const HhhEngine& engine) {
   return build_frame(kind, payload);
 }
 
+std::vector<std::uint8_t> save_memento(const MementoDetector& detector) {
+  std::vector<std::uint8_t> payload;
+  Writer w(payload);
+  detector.save_state(w);
+  return build_frame(SnapshotKind::kMementoDetector, payload);
+}
+
 std::unique_ptr<HhhEngine> load_engine(const FrameView& frame) {
   Reader r(frame.payload, frame.version);
   std::unique_ptr<HhhEngine> engine;
@@ -180,6 +190,61 @@ std::unique_ptr<HhhEngine> load_engine(std::span<const std::uint8_t> buffer) {
   check(frame.frame_size == buffer.size(), WireError::kTrailingBytes,
         "buffer continues past the frame");
   return load_engine(frame);
+}
+
+DecodedSummary::DecodedSummary(std::unique_ptr<HhhEngine> engine)
+    : engine_(std::move(engine)) {
+  if (!engine_) throw std::invalid_argument("DecodedSummary: null engine");
+}
+
+DecodedSummary::DecodedSummary(std::unique_ptr<MementoDetector> detector)
+    : memento_(std::move(detector)) {
+  if (!memento_) throw std::invalid_argument("DecodedSummary: null detector");
+}
+
+DecodedSummary::DecodedSummary(DecodedSummary&&) noexcept = default;
+DecodedSummary& DecodedSummary::operator=(DecodedSummary&&) noexcept = default;
+DecodedSummary::~DecodedSummary() = default;
+
+DecodedSummary DecodedSummary::decode(const FrameView& frame) {
+  if (frame.kind != SnapshotKind::kMementoDetector) return DecodedSummary(load_engine(frame));
+  Reader r(frame.payload, frame.version);
+  DecodedSummary summary(deserialize_memento_detector(r));
+  check(r.done(), WireError::kTrailingBytes, "payload continues past detector state");
+  return summary;
+}
+
+std::string DecodedSummary::key() const {
+  return engine_ ? engine_->name() : memento_->name();
+}
+
+TimePoint DecodedSummary::watermark() const noexcept {
+  return memento_ ? memento_->high_watermark() : TimePoint();
+}
+
+double DecodedSummary::total() {
+  return engine_ ? static_cast<double>(engine_->total_bytes())
+                 : memento_->window_total(memento_->high_watermark());
+}
+
+HhhSet DecodedSummary::report(double phi) {
+  return engine_ ? engine_->extract(phi) : memento_->query(memento_->high_watermark(), phi);
+}
+
+void DecodedSummary::merge_from(const DecodedSummary& other) {
+  if (sliding() != other.sliding()) {
+    throw std::invalid_argument("cannot merge '" + other.key() + "' into '" + key() +
+                                "': engine and sliding-window states do not mix");
+  }
+  if (engine_) {
+    engine_->merge_from(*other.engine_);
+  } else {
+    memento_->merge_from(*other.memento_);
+  }
+}
+
+std::vector<std::uint8_t> DecodedSummary::frame() const {
+  return engine_ ? save_engine(*engine_) : save_memento(*memento_);
 }
 
 void load_engine_into(std::span<const std::uint8_t> buffer, HhhEngine& engine) {

@@ -36,10 +36,13 @@
 #include <string>
 #include <vector>
 
+#include "core/hhh_types.hpp"
+#include "util/sim_time.hpp"
 #include "wire/wire.hpp"
 
 namespace hhh {
 class HhhEngine;
+class MementoDetector;
 }  // namespace hhh
 
 namespace hhh::wire {
@@ -64,7 +67,8 @@ enum class SnapshotKind : std::uint16_t {
   kAncestryEngine = 3,  ///< AncestryHhhEngine
   kUnivmonEngine = 4,   ///< UnivmonHhhEngine
   kShardedEngine = 5,   ///< ShardedHhhEngine (restore-in-place only)
-  kWcssDetector = 6,    ///< WcssSlidingHhhDetector
+  kRetired6 = 6,        ///< retired (the removed WCSS sliding detector);
+                        ///< parses, decodes to kUnsupportedEngine, never reused
   kTdbfDetector = 7,    ///< TimeDecayingHhhDetector checkpoint
   kDisjointWindow = 8,  ///< DisjointWindowHhhDetector checkpoint
   kStreamHello = 9,     ///< collector-service stream greeting (service/frame_stream.hpp)
@@ -133,6 +137,10 @@ SnapshotKind engine_snapshot_kind(const HhhEngine& engine);
 /// Serialize `engine` into one framed snapshot.
 std::vector<std::uint8_t> save_engine(const HhhEngine& engine);
 
+/// Serialize a Memento sliding-window detector into one kMementoDetector
+/// frame.
+std::vector<std::uint8_t> save_memento(const MementoDetector& detector);
+
 /// Construct a new engine from a snapshot frame. `buffer` must contain
 /// exactly one frame (kTrailingBytes otherwise — use parse_frame for
 /// streams). Sharded snapshots are rejected with kUnsupportedEngine:
@@ -141,6 +149,60 @@ std::unique_ptr<HhhEngine> load_engine(std::span<const std::uint8_t> buffer);
 
 /// Construct a new engine from an already-validated frame.
 std::unique_ptr<HhhEngine> load_engine(const FrameView& frame);
+
+/// One decoded vantage state: either an HhhEngine (disjoint windows) or
+/// a Memento sliding-window detector (kMementoDetector). It is the one
+/// place that branches on the state family — the collector's MergeLedger
+/// and the pipeline's FrameRing both merge and report through it.
+///
+/// A sliding state is queried at its watermark: the start of the newest
+/// frame it observed (MementoDetector::high_watermark(); TimePoint() for
+/// engines). Memento merges advance the watermark to the later of the
+/// two, so a merged summary answers for the newest instant any of its
+/// inputs reached.
+class DecodedSummary {
+ public:
+  /// Wrap an engine; throws std::invalid_argument on null.
+  explicit DecodedSummary(std::unique_ptr<HhhEngine> engine);
+  /// Wrap a Memento detector; throws std::invalid_argument on null.
+  explicit DecodedSummary(std::unique_ptr<MementoDetector> detector);
+  /// Move-only: a summary owns its state.
+  DecodedSummary(DecodedSummary&&) noexcept;
+  /// Move-only: a summary owns its state.
+  DecodedSummary& operator=(DecodedSummary&&) noexcept;
+  /// Defined where the state types are complete.
+  ~DecodedSummary();
+
+  /// Decode one vantage-state frame: kMementoDetector into a detector,
+  /// every other kind through load_engine(). Kinds that carry no vantage
+  /// state (stream frames, checkpoints, sharded snapshots, retired kind
+  /// 6) throw WireFormatError(kUnsupportedEngine); payload bytes past
+  /// the state throw kTrailingBytes.
+  static DecodedSummary decode(const FrameView& frame);
+
+  /// Compatibility key: the engine's name, or "memento" / "memento_v6".
+  std::string key() const;
+  /// True for sliding-window state (Memento), false for engines.
+  bool sliding() const noexcept { return memento_ != nullptr; }
+  /// The query instant of a sliding state; TimePoint() for engines.
+  TimePoint watermark() const noexcept;
+  /// Bytes in scope: the engine's total, or the detector's exact window
+  /// total at the watermark. Drives absolute-threshold mode.
+  double total();
+  /// HHHs at relative threshold `phi`: extract(phi) for engines,
+  /// query(watermark, phi) for detectors. Non-const: sliding queries
+  /// advance expiry bookkeeping.
+  HhhSet report(double phi);
+  /// Fold `other` into this state (merge_from of the family). Throws
+  /// std::invalid_argument across families or on a params mismatch.
+  void merge_from(const DecodedSummary& other);
+  /// The state serialized as one snapshot frame (decode() inverts it).
+  std::vector<std::uint8_t> frame() const;
+
+ private:
+  std::unique_ptr<HhhEngine> engine_;
+  std::unique_ptr<MementoDetector> memento_;
+};
 
 /// Restore a snapshot into an existing, identically-configured engine —
 /// the checkpoint/restore path, and the only restore path for sharded

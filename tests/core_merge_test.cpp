@@ -7,7 +7,7 @@
 //  * rhhh / hss — merged summaries stay within the summed error bounds
 //    (mergeable-summaries): verified against the exact golden and, for
 //    HSS under capacity, bit-exact against the single-engine run;
-//  * wcss — frame-aligned merge of sliding summaries;
+//  * memento — frame-aligned merge of sliding-window summaries;
 //  * ShardedHhhEngine — N worker threads over hash-partitioned streams
 //    must reproduce single-thread results: exactly for exact replicas,
 //    within golden-comparator bounds for RHHH, across seeds.
@@ -22,10 +22,10 @@
 #include "core/rhhh.hpp"
 #include "core/sharded_engine.hpp"
 #include "core/univmon_hhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "harness/golden.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trace_builder.hpp"
+#include "sketch/memento.hpp"
 #include "sketch/space_saving.hpp"
 
 namespace hhh {
@@ -201,32 +201,39 @@ TEST(RhhhMerge, ModeMismatchThrows) {
   EXPECT_THROW(sampled.merge_from(hss), std::invalid_argument);
 }
 
-// --- WCSS merges -------------------------------------------------------------
+// --- Memento merges -----------------------------------------------------------
 
-TEST(WcssMerge, ShardedSlidingDetectorMatchesSingleUnderCapacity) {
-  // Two detectors fed disjoint halves of the same clock, merged, must
-  // agree with one detector fed everything (capacity high enough that
-  // per-frame summaries never evict -> merge is plain addition).
+TEST(MementoMerge, SplitSummariesMatchSingleUnderCapacity) {
+  // Two window summaries fed disjoint halves of one clock, merged, must
+  // agree with one summary fed everything (capacity high enough that no
+  // slot is ever evicted -> the frame-aligned merge is plain addition).
   const auto packets = stream_for(0x3C55'0001, 12000);
   std::vector<PacketRecord> a, b;
   split_stream(packets, a, b);
 
-  WcssSlidingHhhDetector::Params params{.window = Duration::seconds(5),
-                                        .frames = 5,
-                                        .counters_per_level = 4096};
-  WcssSlidingHhhDetector whole(params), left(params), right(params);
-  for (const auto& p : packets) whole.offer(p);
-  for (const auto& p : a) left.offer(p);
-  for (const auto& p : b) right.offer(p);
+  const MementoSummary::Params params{.window = Duration::seconds(5),
+                                      .frames = 5,
+                                      .counters = 8192};
+  MementoSummary whole(params), left(params), right(params);
+  const auto feed = [](MementoSummary& s, const std::vector<PacketRecord>& stream) {
+    for (const auto& p : stream) s.update(p.src_hi(), p.ip_len, p.ts);
+  };
+  feed(whole, packets);
+  feed(left, a);
+  feed(right, b);
   left.merge_from(right);
 
   const TimePoint now = packets.back().ts;
-  EXPECT_TRUE(harness::hhh_sets_equal(whole.query(now, 0.05), left.query(now, 0.05)));
+  EXPECT_EQ(left.window_total(now), whole.window_total(now));
+  EXPECT_EQ(left.size(), whole.size());
+  for (const auto& p : packets) {
+    EXPECT_EQ(left.estimate(p.src_hi(), now), whole.estimate(p.src_hi(), now));
+  }
 }
 
-TEST(WcssMerge, ParamsMismatchThrows) {
-  WcssSlidingHhhDetector a({.frames = 5});
-  WcssSlidingHhhDetector b({.frames = 10});
+TEST(MementoMerge, ParamsMismatchThrows) {
+  MementoSummary a({.frames = 5});
+  MementoSummary b({.frames = 10});
   EXPECT_THROW(a.merge_from(b), std::invalid_argument);
 }
 

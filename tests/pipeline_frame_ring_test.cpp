@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/exact_engine.hpp"
 #include "core/memento_hhh.hpp"
@@ -184,6 +185,21 @@ TEST(FrameRing, ServesMementoDetectorFrames) {
   EXPECT_EQ(report.group, "memento");
   EXPECT_EQ(report.frames_merged, selected.size());
   EXPECT_TRUE(harness::hhh_sets_equal(expected, report.hhhs));
+}
+
+TEST(FrameRing, RetainedRetiredKind6FrameFailsTheQueryWithATypedError) {
+  // Kind 6 (the removed WCSS detector) still parses as a frame, so the
+  // ring retains it; decoding it for a query is refused.
+  FrameRing ring(4);
+  const auto frame = wire::build_frame(static_cast<wire::SnapshotKind>(6),
+                                       std::vector<std::uint8_t>{1, 2, 3, 4});
+  ring.push(WindowReport{.index = 0, .start = at(0.0), .end = at(1.0), .hhhs = {}}, frame);
+  try {
+    (void)ring.query_interval(at(0.0), at(1.0), 0.05);
+    FAIL() << "expected WireFormatError";
+  } catch (const wire::WireFormatError& e) {
+    EXPECT_EQ(e.code(), wire::WireError::kUnsupportedEngine) << e.what();
+  }
 }
 
 TEST(FrameRing, RejectsZeroCapacityAndNullSink) {

@@ -12,10 +12,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 
 #include "core/exact_engine.hpp"
+#include "core/memento_hhh.hpp"
 #include "core/sliding_window.hpp"
-#include "core/wcss_hhh.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "net/pcap.hpp"
@@ -383,24 +384,26 @@ TEST(SnapshotStreamTest, TruncatedTailIsAnErrorNotEndOfStream) {
 
 // -------------------------------------------- sliding & decaying pairings
 
-TEST(PipelineStagesTest, WcssStageMatchesDirectDetectorQueries) {
+TEST(PipelineStagesTest, MementoStageMatchesDirectDetectorQueries) {
   const auto packets = harness::TraceBuilder(5).compact_space().packets(10000);
   const TimePoint end = packets.back().ts + Duration::millis(100);
-  WcssSlidingHhhDetector::Params params;
-  params.window = Duration::millis(100);
-  params.frames = 5;
+  const MementoHhhParams params{.window = Duration::millis(100), .frames = 5};
 
+  // One-packet ingest runs: the twin below then draws its sampled levels
+  // from the same RNG outputs as the stage's offer_batch calls.
   PipelineConfig config;
   config.phi = 0.05;
   config.finish_at = end;
-  Pipeline pipe(make_vector_source(packets), make_wcss_stage(params),
+  config.batch_size = 1;
+  Pipeline pipe(make_vector_source(packets),
+                make_memento_stage(std::make_unique<MementoHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
   pipe.run();
   ASSERT_GE(collect.reports().size(), 3u);
 
   // Twin detector driven by hand, queried at the same boundaries.
-  WcssSlidingHhhDetector twin(params);
+  MementoHhhDetector twin(params);
   std::size_t next = 0;
   for (const auto& p : packets) {
     while (next < collect.reports().size() && collect.reports()[next].end <= p.ts) {
@@ -409,7 +412,7 @@ TEST(PipelineStagesTest, WcssStageMatchesDirectDetectorQueries) {
           << "report " << next;
       ++next;
     }
-    twin.offer(p);
+    twin.offer_batch(std::span<const PacketRecord>(&p, 1));
   }
   for (; next < collect.reports().size(); ++next) {
     EXPECT_TRUE(harness::hhh_sets_equal(twin.query(collect.reports()[next].end, 0.05),

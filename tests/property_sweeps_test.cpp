@@ -15,9 +15,9 @@
 #include "core/rhhh.hpp"
 #include "core/sliding_window.hpp"
 #include "sketch/count_min.hpp"
+#include "sketch/memento.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
-#include "sketch/wcss.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "trace/zipf.hpp"
@@ -118,15 +118,15 @@ INSTANTIATE_TEST_SUITE_P(Geometries, DcbfSweep,
                                             ::testing::Values(2, 4),
                                             ::testing::Values(2.0, 8.0)));
 
-// --- Windowed Space-Saving: window overestimate across frame counts ---------
+// --- Memento window summary: window overestimate across frame counts -------
 
-class WcssSweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class MementoSummarySweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-TEST_P(WcssSweep, WindowOverestimateAcrossGeometry) {
+TEST_P(MementoSummarySweep, WindowOverestimateAcrossGeometry) {
   const auto [frames, counters] = GetParam();
-  WindowedSpaceSaving w({.window = Duration::seconds(6),
-                         .frames = static_cast<std::size_t>(frames),
-                         .counters_per_frame = static_cast<std::size_t>(counters)});
+  MementoSummary w({.window = Duration::seconds(6),
+                    .frames = static_cast<std::size_t>(frames),
+                    .counters = static_cast<std::size_t>(counters)});
   Rng rng(0x3C55);
   ZipfSampler zipf(300, 1.1);
   std::deque<std::tuple<double, std::uint64_t, double>> events;
@@ -150,7 +150,7 @@ TEST_P(WcssSweep, WindowOverestimateAcrossGeometry) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Geometry, WcssSweep,
+INSTANTIATE_TEST_SUITE_P(Geometry, MementoSummarySweep,
                          ::testing::Combine(::testing::Values(3, 6, 12),
                                             ::testing::Values(64, 256)));
 

@@ -17,6 +17,7 @@
 #include "harness/trace_builder.hpp"
 #include "net/hierarchy.hpp"
 #include "service/merge.hpp"
+#include "wire/codec.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
 
@@ -41,10 +42,23 @@ std::unique_ptr<HhhEngine> v4_engine() {
 }
 
 Scope engine_scope(std::unique_ptr<HhhEngine> engine, std::string label) {
-  Scope scope;
-  scope.label = std::move(label);
-  scope.engine = std::move(engine);
-  return scope;
+  return Scope{.label = std::move(label), .summary = wire::DecodedSummary(std::move(engine))};
+}
+
+// A CRC-valid frame of the retired kind 6 (the removed WCSS detector).
+std::vector<std::uint8_t> retired_kind_6_frame() {
+  return wire::build_frame(static_cast<wire::SnapshotKind>(6),
+                           std::vector<std::uint8_t>{1, 2, 3, 4});
+}
+
+template <typename F>
+void expect_wire_error(wire::WireError code, F&& decode) {
+  try {
+    decode();
+    FAIL() << "expected WireFormatError";
+  } catch (const wire::WireFormatError& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
 }
 
 // A Memento vantage as the collector sees it: serialized to a frame and
@@ -214,23 +228,46 @@ TEST(DecodeScope, RoundTripsAnEngineFrame) {
   const auto frame = wire::parse_frame(bytes);
 
   Scope scope = decode_scope(frame, "vantage0");
-  ASSERT_NE(scope.engine, nullptr);
-  EXPECT_EQ(scope.wcss, nullptr);
+  EXPECT_EQ(scope.summary.key(), "exact");
+  EXPECT_FALSE(scope.summary.sliding());
   EXPECT_EQ(scope.label, "vantage0");
-  EXPECT_EQ(scope.engine->total_bytes(), engine->total_bytes());
-  expect_same_set(scope.engine->extract(0.1), engine->extract(0.1));
+  EXPECT_EQ(scope.summary.total(), static_cast<double>(engine->total_bytes()));
+  expect_same_set(scope.summary.report(0.1), engine->extract(0.1));
+  EXPECT_EQ(scope.summary.frame(), bytes);
+}
+
+TEST(DecodeScope, RoundTripsAMementoFrame) {
+  const auto detector = memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1);
+  Scope scope = memento_scope(*detector, "m");
+  EXPECT_EQ(scope.summary.key(), "memento");
+  EXPECT_TRUE(scope.summary.sliding());
+  EXPECT_EQ(scope.summary.watermark(), detector->high_watermark());
+  EXPECT_EQ(scope.summary.total(), 260000.0);
+  expect_same_set(scope.summary.report(0.1),
+                  detector->query(detector->high_watermark(), 0.1));
 }
 
 TEST(DecodeScope, RefusesStreamProtocolFrames) {
   const auto bye = wire::build_frame(wire::SnapshotKind::kStreamBye,
                                      std::vector<std::uint8_t>{0, 0, 0, 0, 0, 0, 0, 0});
   const auto frame = wire::parse_frame(bye);
-  try {
-    decode_scope(frame, "x");
-    FAIL() << "expected WireFormatError";
-  } catch (const wire::WireFormatError& e) {
-    EXPECT_EQ(e.code(), wire::WireError::kUnsupportedEngine);
-  }
+  expect_wire_error(wire::WireError::kUnsupportedEngine, [&] { decode_scope(frame, "x"); });
+}
+
+TEST(DecodeScope, RefusesTheRetiredKind6) {
+  const auto bytes = retired_kind_6_frame();
+  const auto frame = wire::parse_frame(bytes);  // still a well-formed frame
+  EXPECT_EQ(static_cast<int>(frame.kind), 6);
+  expect_wire_error(wire::WireError::kUnsupportedEngine, [&] { decode_scope(frame, "x"); });
+}
+
+TEST(DecodedSummary, MergeAcrossFamiliesThrows) {
+  auto engine = v4_engine();
+  feed(*engine, Ipv4Address::of(10, 0, 0, 1), 100, 10);
+  wire::DecodedSummary summary(std::move(engine));
+  Scope memento = memento_scope(*memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1), "m");
+  EXPECT_THROW(summary.merge_from(memento.summary), std::invalid_argument);
+  EXPECT_THROW(memento.summary.merge_from(summary), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- composition
@@ -318,8 +355,42 @@ TEST(MergeLedger, SavedGroupFramesAreTheCollectorsInputFormat) {
   // Each frame is self-delimiting and decodes back into a merged scope.
   const auto view = wire::parse_frame(frames[0]);
   Scope merged = decode_scope(view, "merged");
-  ASSERT_NE(merged.engine, nullptr);
-  EXPECT_EQ(merged.engine->total_bytes(), 1200u);
+  EXPECT_EQ(merged.summary.key(), "exact");
+  EXPECT_EQ(merged.summary.total(), 1200.0);
+}
+
+TEST(MergeLedger, LoadStateRefusesARetiredKind6GroupFrame) {
+  // A checkpoint laid out as save_state() writes it, whose one group
+  // frame is of the retired kind 6.
+  const auto frame = retired_kind_6_frame();
+  std::vector<std::uint8_t> bytes;
+  wire::Writer w(bytes);
+  w.u64(1);
+  w.str("wcss");
+  wire::write_timepoint(w, TimePoint());
+  w.u64(frame.size());
+  w.raw(frame.data(), frame.size());
+  w.u64(0);  // locally-seen union
+  w.u64(1);  // scopes folded
+
+  MergeLedger ledger;
+  wire::Reader r(bytes);
+  expect_wire_error(wire::WireError::kUnsupportedEngine, [&] { ledger.load_state(r); });
+}
+
+TEST(MergeLedger, LoadStateRefusesAGroupKeyThatDisagreesWithItsFrame) {
+  MergeLedger ledger;
+  auto engine = v4_engine();
+  feed(*engine, Ipv4Address::of(10, 0, 0, 1), 100, 5);
+  ledger.fold(engine_scope(std::move(engine), "a"));
+  auto bytes = saved_state(ledger);
+  // The group key "exact" follows the u64 group count and its u32 length.
+  ASSERT_EQ(bytes[12], 'e');
+  bytes[12] = 'E';
+
+  MergeLedger restored;
+  wire::Reader r(bytes);
+  expect_wire_error(wire::WireError::kBadValue, [&] { restored.load_state(r); });
 }
 
 // ---------------------------------------------------------------- Memento

@@ -10,11 +10,10 @@
 #include "harness/sweep.hpp"
 #include "sketch/count_min.hpp"
 #include "sketch/count_sketch.hpp"
-#include "sketch/exp_histogram.hpp"
+#include "sketch/memento.hpp"
 #include "sketch/misra_gries.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
-#include "sketch/wcss.hpp"
 #include "util/random.hpp"
 #include "wire/wire.hpp"
 
@@ -120,22 +119,6 @@ TEST(SketchWireRoundTrip, MisraGriesExact) {
   }
 }
 
-TEST(SketchWireRoundTrip, ExpHistogramExact) {
-  ExpHistogram original(8, Duration::seconds(4));
-  Rng rng(0x22EE'0005);
-  TimePoint t;
-  for (int i = 0; i < 3000; ++i) {
-    t += Duration::millis(static_cast<std::int64_t>(rng.below(5)));
-    original.add(1.0 + rng.below(100), t);
-  }
-  ExpHistogram restored(8, Duration::seconds(4));
-  round_trip(original, restored);
-  EXPECT_EQ(restored.bucket_count(), original.bucket_count());
-  EXPECT_EQ(restored.estimate(t), original.estimate(t));
-  EXPECT_EQ(restored.upper_bound(t), original.upper_bound(t));
-  EXPECT_EQ(restored.lower_bound(t), original.lower_bound(t));
-}
-
 TEST(SketchWireRoundTrip, DecayingCountingBloomFilterExact) {
   DecayingCountingBloomFilter::Params params;
   params.cells = 1 << 10;
@@ -155,18 +138,18 @@ TEST(SketchWireRoundTrip, DecayingCountingBloomFilterExact) {
   }
 }
 
-TEST(SketchWireRoundTrip, WindowedSpaceSavingExactAcrossFrames) {
-  WindowedSpaceSaving::Params params{.window = Duration::seconds(2),
-                                     .frames = 8,
-                                     .counters_per_frame = 32};
-  WindowedSpaceSaving original(params);
+TEST(SketchWireRoundTrip, MementoSummaryExactAcrossFrames) {
+  const MementoSummary::Params params{.window = Duration::seconds(2),
+                                      .frames = 8,
+                                      .counters = 32};
+  MementoSummary original(params);
   Rng rng(0x22EE'0007);
   TimePoint t;
   for (int i = 0; i < 4000; ++i) {
     t += Duration::micros(static_cast<std::int64_t>(rng.below(2000)));
     original.update(rng.below(200), 1.0 + rng.below(50), t);
   }
-  WindowedSpaceSaving restored(params);
+  MementoSummary restored(params);
   round_trip(original, restored);
   EXPECT_EQ(restored.high_watermark(), original.high_watermark());
   EXPECT_EQ(restored.window_total(t), original.window_total(t));

@@ -45,7 +45,7 @@
 //                      these honour --shards), or any engine registry
 //                      name (`hhh-live --engine=help` lists them;
 //                      registry engines require --shards=1). Sliding
-//                      detectors — memento | memento_v6 | wcss — need
+//                      detectors — memento | memento_v6 — need
 //                      --step and snapshot their trailing-window state
 //                      per step instead of resetting per window
 //   --step=S           sliding report cadence in seconds: switch the
@@ -101,7 +101,6 @@
 #include "core/exact_engine.hpp"
 #include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
-#include "core/wcss_hhh.hpp"
 #include "obs/export.hpp"
 #include "obs/log.hpp"
 #include "trace/scenarios.hpp"
@@ -350,15 +349,14 @@ int run(const Options& opt) {
     HHH_ERROR << "error: unknown scenario '" << opt.scenario << "'; presets:" << presets;
     return 1;
   }
-  const bool sliding_engine =
-      opt.engine == "memento" || opt.engine == "memento_v6" || opt.engine == "wcss";
+  const bool sliding_engine = opt.engine == "memento" || opt.engine == "memento_v6";
   if (sliding_engine && opt.step_s <= 0.0) {
     HHH_ERROR << "error: --engine=" << opt.engine
               << " is a sliding detector; give its report cadence with --step=S";
     return 1;
   }
   if (!sliding_engine && opt.step_s > 0.0) {
-    HHH_ERROR << "error: --step needs a sliding --engine (memento | memento_v6 | wcss)";
+    HHH_ERROR << "error: --step needs a sliding --engine (memento | memento_v6)";
     return 1;
   }
   if (sliding_engine && opt.shards != 1) {
@@ -369,9 +367,7 @@ int run(const Options& opt) {
   std::unique_ptr<pipeline::MeasurementStage> stage;
   if (sliding_engine) {
     const Duration window = Duration::from_seconds(opt.window_s);
-    if (opt.engine == "wcss") {
-      stage = pipeline::make_wcss_stage({.window = window});
-    } else if (opt.engine == "memento_v6") {
+    if (opt.engine == "memento_v6") {
       stage = pipeline::make_memento_stage(std::make_unique<MementoHhhV6Detector>(
           MementoHhhParams{.hierarchy = Hierarchy::v6_byte_granularity(), .window = window}));
     } else {
@@ -389,7 +385,7 @@ int run(const Options& opt) {
         for (const auto& name : engine_names()) names += " " + name;
         HHH_ERROR << "error: unknown engine '" << opt.engine
                   << "'; built-ins: exact exact_v6 rhhh rhhh_v6; sliding: memento "
-                  << "memento_v6 wcss (need --step); registry:" << names;
+                  << "memento_v6 (need --step); registry:" << names;
       }
       return 1;
     }

@@ -34,10 +34,9 @@ void MergeLedger::merge_into_group(wire::DecodedSummary summary) {
 HhhSet MergeLedger::fold(Scope scope) {
   // Extract the scope's local view BEFORE merging: what this single
   // vantage would report on its own is what defines "seen locally".
-  wire::DecodedSummary& summary = scope.summary;
-  HhhSet local = summary.report(thresholds_.scope_phi(summary.total()));
+  HhhSet local = scope.summary.report(thresholds_.scope_phi(scope.summary.total()));
   seen_locally_.add(local.prefixes());
-  merge_into_group(std::move(summary));
+  merge_into_group(std::move(scope.summary));
   ++scopes_folded_;
   return local;
 }

@@ -1,8 +1,10 @@
 #include "core/exact_hhh.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "util/flat_hash_map.hpp"
 
@@ -15,6 +17,14 @@ constexpr std::size_t kMaxThresholds = 8;
 // child under threshold i contributes 0 to slot i of its parent; a
 // non-HHH child contributes its slot-i residual.
 using ResidualVec = std::array<std::uint64_t, kMaxThresholds>;
+
+// Canonical report order within one level: ascending prefix. Without it
+// the order would follow hash-table capacity and history, so equal
+// counters held in differently sized maps would report differently.
+void sort_level(std::vector<HhhItem>& found) {
+  std::sort(found.begin(), found.end(),
+            [](const HhhItem& a, const HhhItem& b) { return a.prefix < b.prefix; });
+}
 
 /// Single-threshold extraction with scalar residuals — the hot path for
 /// per-window reports. extract_hhh_multi's array-valued residual maps pay
@@ -32,26 +42,33 @@ HhhSet extract_hhh_single(const BasicLevelAggregates<D>& agg,
   result.total_bytes = agg.total_bytes();
   result.threshold_bytes = threshold;
 
-  // Sized up front: the leaf level dominates and rehash-growth of a
-  // hundreds-of-thousands-entry map would double the extraction cost.
-  Map residual(agg.distinct_at(0) * 2 + 16);
-  agg.for_each_at(0, [&](const MapKey& key, std::uint64_t bytes) { residual[key] = bytes; });
-
+  // The leaf level is read straight from `agg` (there every prefix's
+  // residual is its total); only the levels above get residual maps.
+  Map residual;
+  std::vector<HhhItem> found;
   for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
     const bool has_parent = level + 1 < hierarchy.levels();
     const unsigned parent_len = has_parent ? hierarchy.length_at(level + 1) : 0;
     Map parent_residual(has_parent ? agg.distinct_at(level + 1) * 2 + 16 : 16);
 
-    residual.for_each([&](const MapKey& key, std::uint64_t& res) {
+    const auto visit = [&](const MapKey& key, std::uint64_t res) {
       if (res >= threshold) {
         const PrefixKey prefix = D::prefix(key);
-        result.add(HhhItem{prefix, agg.count(prefix), res});
+        found.push_back(HhhItem{prefix, agg.count(prefix), res});
         return;  // HHH absorbs its subtree
       }
       if (has_parent && res > 0) {
         parent_residual[D::truncate(key, parent_len)] += res;
       }
-    });
+    };
+    if (level == 0) {
+      agg.for_each_at(0, visit);
+    } else {
+      residual.for_each(visit);
+    }
+    sort_level(found);
+    for (const HhhItem& item : found) result.add(item);
+    found.clear();
     residual = std::move(parent_residual);
   }
   return result;
@@ -84,18 +101,15 @@ std::vector<HhhSet> extract_hhh_multi(const BasicLevelAggregates<D>& agg,
     results[i].threshold_bytes = t[i];
   }
 
-  ResidualMap residual(agg.distinct_at(0) * 2 + 16);
-  agg.for_each_at(0, [&](const MapKey& key, std::uint64_t bytes) {
-    ResidualVec& r = residual[key];
-    for (std::size_t i = 0; i < k; ++i) r[i] = bytes;
-  });
-
+  // As in extract_hhh_single, the leaf level is read straight from `agg`.
+  ResidualMap residual;
+  std::array<std::vector<HhhItem>, kMaxThresholds> found;
   for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
     const bool has_parent = level + 1 < hierarchy.levels();
     const unsigned parent_len = has_parent ? hierarchy.length_at(level + 1) : 0;
     ResidualMap parent_residual(has_parent ? agg.distinct_at(level + 1) * 2 + 16 : 16);
 
-    residual.for_each([&](const MapKey& key, ResidualVec& res) {
+    const auto visit = [&](const MapKey& key, const ResidualVec& res) {
       // The prefix's total is fetched lazily, only when some threshold
       // marks it as an HHH (count() is a hash lookup).
       std::uint64_t total = 0;
@@ -110,7 +124,7 @@ std::vector<HhhSet> extract_hhh_multi(const BasicLevelAggregates<D>& agg,
             total = agg.count(prefix);
             have_total = true;
           }
-          results[i].add(HhhItem{prefix, total, res[i]});
+          found[i].push_back(HhhItem{prefix, total, res[i]});
           // HHH absorbs its subtree under threshold i: contributes 0 up.
         } else if (res[i] > 0) {
           up[i] = res[i];
@@ -121,8 +135,21 @@ std::vector<HhhSet> extract_hhh_multi(const BasicLevelAggregates<D>& agg,
         ResidualVec& parent = parent_residual[D::truncate(key, parent_len)];
         for (std::size_t i = 0; i < k; ++i) parent[i] += up[i];
       }
-    });
-
+    };
+    if (level == 0) {
+      agg.for_each_at(0, [&](const MapKey& key, std::uint64_t bytes) {
+        ResidualVec leaf{};
+        for (std::size_t i = 0; i < k; ++i) leaf[i] = bytes;
+        visit(key, leaf);
+      });
+    } else {
+      residual.for_each(visit);
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      sort_level(found[i]);
+      for (const HhhItem& item : found[i]) results[i].add(item);
+      found[i].clear();
+    }
     residual = std::move(parent_residual);
   }
   return results;

@@ -106,6 +106,7 @@ class BasicLevelAggregates {
     if (batch_total == 0) return;
     for (std::size_t level = 0;; ++level) {
       auto& map = maps_[level];
+      map.reserve(map.size() + scratch_.size());  // FlatHashMap bucket-order rule
       if (level + 1 == maps_.size()) {
         scratch_.for_each(
             [&](const MapKey& key, std::uint64_t& bytes) { map[key] += bytes; });
@@ -150,6 +151,7 @@ class BasicLevelAggregates {
     total_ += other.total_;
     for (std::size_t level = 0; level < maps_.size(); ++level) {
       auto& map = maps_[level];
+      map.reserve(map.size() + other.maps_[level].size());  // FlatHashMap bucket-order rule
       other.maps_[level].for_each(
           [&](const MapKey& key, const std::uint64_t& bytes) { map[key] += bytes; });
     }

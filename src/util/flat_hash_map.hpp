@@ -10,6 +10,15 @@
 // Value is default-constructible and movable. Deliberately minimal API —
 // exactly what the counting code needs (find / try_emplace / erase /
 // iteration) — not a drop-in std::unordered_map.
+//
+// Bucket-order hazard: a key's bucket is `hash & mask`, so iterating a
+// table visits its keys in roughly ascending bucket order of any other
+// table that uses the same Hash. Inserting that stream into a second
+// table that must grow on the way (it starts smaller than the result)
+// builds long robin-hood clusters, and the copy runs several times
+// slower than with random-order keys. Rule: reserve() the expected
+// final size before a bulk insert from another table of the same key
+// type (merges, level propagation).
 #pragma once
 
 #include <cassert>
@@ -60,6 +69,16 @@ class FlatHashMap {
     size_ = 0;
   }
 
+  /// Rehash once to the smallest power-of-two capacity that holds `n`
+  /// entries under the 7/8 load rule, so the next inserts up to `n`
+  /// entries never grow the table. Never shrinks: a no-op when the
+  /// capacity already holds `n` (in particular when `n <= size()`).
+  void reserve(std::size_t n) {
+    std::size_t capacity = slots_.size();
+    while (n * 8 >= capacity * 7) capacity *= 2;
+    if (capacity != slots_.size()) rehash(capacity);
+  }
+
   /// Returns a pointer to the value for `key`, or nullptr if absent.
   Value* find(const Key& key) noexcept {
     const std::size_t mask = slots_.size() - 1;
@@ -94,7 +113,7 @@ class FlatHashMap {
   /// hand the precomputed values here; `hash` MUST equal `Hash()(key)` or
   /// the table silently corrupts.
   std::pair<Value*, bool> try_emplace_hashed(const Key& key, std::uint64_t hash) {
-    if ((size_ + 1) * 8 >= slots_.size() * 7) grow();  // load factor 7/8
+    if ((size_ + 1) * 8 >= slots_.size() * 7) rehash(slots_.size() * 2);  // load 7/8
 
     const std::size_t mask = slots_.size() - 1;
     std::size_t idx = static_cast<std::size_t>(hash) & mask;
@@ -204,10 +223,9 @@ class FlatHashMap {
   std::size_t memory_bytes() const noexcept { return slots_.size() * sizeof(Slot); }
 
  private:
-  void grow() {
-    std::vector<Slot> old;
+  void rehash(std::size_t capacity) {
+    std::vector<Slot> old(capacity);
     old.swap(slots_);
-    slots_.resize(old.size() * 2);
     size_ = 0;
     for (auto& s : old) {
       if (s.dib != 0) *try_emplace(s.key).first = std::move(s.value);

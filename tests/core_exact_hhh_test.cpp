@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
+#include "core/exact_engine.hpp"
 #include "core/prefix_trie.hpp"
+#include "harness/trace_builder.hpp"
 #include "util/random.hpp"
+#include "wire/snapshot.hpp"
 
 namespace hhh {
 namespace {
@@ -152,6 +157,70 @@ TEST(ExactHhh, CustomHierarchyRespectsLevels) {
   // /24 is not a level here; the mass aggregates at /16 directly.
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result.items()[0].prefix, pfx("10.1.0.0/16"));
+}
+
+// --- Canonical report order ------------------------------------------------
+
+// Traffic with ten or more HHHs at each of three levels: heavy hosts
+// (/32), heavy /24s of many light hosts, and heavy /16s of a wide spray.
+std::vector<PacketRecord> layered_traffic(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<PacketRecord> packets;
+  packets.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double r = rng.uniform();
+    std::uint32_t src = 0;
+    if (r < 0.2) {
+      src = 10u << 24 | static_cast<std::uint32_t>(rng.below(12)) << 8 | 1;
+    } else if (r < 0.45) {
+      src = 20u << 24 | static_cast<std::uint32_t>(rng.below(10)) << 16 |
+            static_cast<std::uint32_t>(rng.below(256));
+    } else {
+      src = 30u << 24 | static_cast<std::uint32_t>(rng.below(16)) << 16 |
+            static_cast<std::uint32_t>(rng.below(1u << 16));
+    }
+    packets.push_back(harness::packet_at(0.0, Ipv4Address(src),
+                                         static_cast<std::uint32_t>(40 + rng.below(1460))));
+  }
+  return packets;
+}
+
+void feed(HhhEngine& engine, std::span<const PacketRecord> packets) {
+  for (std::size_t i = 0; i < packets.size(); i += 4096) {
+    engine.add_batch(packets.subspan(i, std::min<std::size_t>(4096, packets.size() - i)));
+  }
+}
+
+// Equal counters report equal items in the same order, whatever capacity
+// and insertion history the level maps carry: levels leaf to root, and
+// ascending prefix within a level.
+TEST(ExactHhh, ReportOrderIsCanonicalAcrossTableHistories) {
+  const auto packets = layered_traffic(21, 60000);
+  const double phi = 0.01;
+
+  ExactEngine engine(Hierarchy::byte_granularity());
+  feed(engine, packets);
+  const HhhSet grown = engine.extract(phi);
+  for (const unsigned len : {32u, 24u, 16u}) {
+    EXPECT_GE(grown.at_length(len).size(), 10u) << "/" << len;
+  }
+  for (std::size_t i = 1; i < grown.size(); ++i) {
+    const PrefixKey& prev = grown.items()[i - 1].prefix;
+    const PrefixKey& cur = grown.items()[i].prefix;
+    EXPECT_TRUE(prev.length() > cur.length() || (prev.length() == cur.length() && prev < cur))
+        << prev.to_string() << " before " << cur.to_string();
+  }
+
+  // Decode sizes each level map from its entry count, not from history.
+  const auto restored = wire::load_engine(wire::save_engine(engine));
+  EXPECT_EQ(restored->extract(phi).items(), grown.items());
+
+  // reset() keeps the capacity a wider window grew the maps to.
+  engine.reset();
+  feed(engine, layered_traffic(22, 400000));
+  engine.reset();
+  feed(engine, packets);
+  EXPECT_EQ(engine.extract(phi).items(), grown.items());
 }
 
 // --- Cross-engine equivalence ----------------------------------------------

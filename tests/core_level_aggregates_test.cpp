@@ -110,6 +110,62 @@ TEST(LevelAggregates, RandomAddRemoveConsistency) {
   }
 }
 
+void expect_same_counters(const LevelAggregates& got, const LevelAggregates& want) {
+  EXPECT_EQ(got.total_bytes(), want.total_bytes());
+  for (std::size_t level = 0; level < want.hierarchy().levels(); ++level) {
+    EXPECT_EQ(got.distinct_at(level), want.distinct_at(level)) << "level " << level;
+    want.for_each_at(level, [&](std::uint64_t key, std::uint64_t bytes) {
+      EXPECT_EQ(got.count(Ipv4Prefix::from_key(key)), bytes)
+          << Ipv4Prefix::from_key(key).to_string();
+    });
+  }
+}
+
+// Merging copies one table's slots into another that uses the same hash,
+// so the target sees keys in the source's bucket order. The result must
+// not depend on either side's capacity.
+TEST(LevelAggregates, MergeAcrossCapacitiesEqualsIngestingTheConcatenation) {
+  const Hierarchy h = Hierarchy::byte_granularity();
+  Rng rng(11);
+  const auto fill = [&](LevelAggregates& agg, int n, std::uint32_t space) {
+    std::vector<std::pair<Ipv4Address, std::uint64_t>> added;
+    for (int i = 0; i < n; ++i) {
+      const Ipv4Address a(static_cast<std::uint32_t>(rng.below(space)) * 2654435761u);
+      const std::uint64_t bytes = 1 + rng.below(1499);
+      agg.add(a, bytes);
+      added.emplace_back(a, bytes);
+    }
+    return added;
+  };
+  LevelAggregates a(h);
+  LevelAggregates b(h);
+  const auto from_a = fill(a, 20000, 30000);  // a and b share keys
+  const auto from_b = fill(b, 40000, 60000);
+  LevelAggregates concat(h);
+  for (const auto& [addr, bytes] : from_a) concat.add(addr, bytes);
+  for (const auto& [addr, bytes] : from_b) concat.add(addr, bytes);
+
+  // A fresh 1024-slot target receiving both sources.
+  LevelAggregates fresh(h);
+  fresh.merge(a);
+  fresh.merge(b);
+  expect_same_counters(fresh, concat);
+
+  // A target that kept a far larger capacity through clear().
+  LevelAggregates wide(h);
+  fill(wide, 200000, 1u << 30);
+  const std::size_t wide_memory = wide.memory_bytes();
+  wide.clear();
+  wide.merge(b);
+  wide.merge(a);
+  EXPECT_EQ(wide.memory_bytes(), wide_memory);
+  expect_same_counters(wide, concat);
+
+  // The smaller table merged into the larger one.
+  b.merge(a);
+  expect_same_counters(b, concat);
+}
+
 TEST(LevelAggregates, MemoryGrowsWithDistinctKeys) {
   LevelAggregates agg(Hierarchy::byte_granularity());
   const auto before = agg.memory_bytes();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 
@@ -123,8 +124,48 @@ TEST(FlatHashMap, MemoryAccountingGrows) {
   EXPECT_GT(m.memory_bytes(), before);
 }
 
+TEST(FlatHashMap, ReserveHoldsNKeysWithoutGrowing) {
+  for (const std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{14},
+                              std::size_t{1000}, std::size_t{4096}, std::size_t{30000}}) {
+    FlatHashMap<std::uint64_t, std::uint64_t> m;
+    m.reserve(n);
+    const std::size_t capacity = m.capacity();
+    for (std::uint64_t k = 0; k < n; ++k) m[k * 7 + 3] = k;
+    EXPECT_EQ(m.capacity(), capacity) << "n=" << n;
+    // The smallest such capacity: where insert-driven growth lands too.
+    FlatHashMap<std::uint64_t, std::uint64_t> grown;
+    for (std::uint64_t k = 0; k < n; ++k) grown[k * 7 + 3] = k;
+    EXPECT_EQ(m.capacity(), std::max(grown.capacity(), std::size_t{16})) << "n=" << n;
+  }
+}
+
+TEST(FlatHashMap, ReserveBelowSizeIsANoOp) {
+  FlatHashMap<std::uint64_t, int> m;
+  for (std::uint64_t k = 0; k < 1000; ++k) m[k] = 1;
+  const std::size_t capacity = m.capacity();
+  for (const std::size_t n : {std::size_t{0}, std::size_t{10}, std::size_t{999},
+                              std::size_t{1000}}) {
+    m.reserve(n);
+    EXPECT_EQ(m.capacity(), capacity) << "n=" << n;
+  }
+  EXPECT_EQ(m.size(), 1000u);
+}
+
+TEST(FlatHashMap, ReservePreservesEntries) {
+  FlatHashMap<std::uint64_t, std::uint64_t> m(8);
+  for (std::uint64_t k = 0; k < 5000; ++k) m[k * 3 + 1] = k;
+  m.reserve(100000);
+  EXPECT_GE(m.capacity() * 7, std::size_t{100000} * 8);
+  EXPECT_EQ(m.size(), 5000u);
+  for (std::uint64_t k = 0; k < 5000; ++k) {
+    ASSERT_NE(m.find(k * 3 + 1), nullptr) << k;
+    EXPECT_EQ(*m.find(k * 3 + 1), k);
+  }
+  EXPECT_EQ(m.find(2), nullptr);
+}
+
 // Model-based randomized test: the map must agree with std::unordered_map
-// under a random workload of inserts, updates and deletes.
+// under a random workload of inserts, updates, deletes and reserves.
 TEST(FlatHashMap, AgreesWithStdUnorderedMapModel) {
   Rng rng(0xFEED);
   FlatHashMap<std::uint64_t, std::uint64_t> m(16);
@@ -136,8 +177,10 @@ TEST(FlatHashMap, AgreesWithStdUnorderedMapModel) {
     if (action < 0.5) {
       m[key] += key;
       model[key] += key;
-    } else if (action < 0.75) {
+    } else if (action < 0.74) {
       EXPECT_EQ(m.erase(key), model.erase(key) > 0);
+    } else if (action < 0.75) {
+      m.reserve(m.size() + rng.below(1024));
     } else {
       const auto* v = m.find(key);
       const auto it = model.find(key);

@@ -14,6 +14,12 @@
 /// (its own residual plus everything deeper already discounted).
 ///
 /// Cost: one pass over each level's live counters — O(distinct prefixes).
+/// The leaf level is read in place; only the levels above it get residual
+/// maps.
+///
+/// Report order is canonical: levels from leaf to root, ascending prefix
+/// within a level. Equal counters therefore report equal item sequences,
+/// whatever capacity or insertion history their level maps carry.
 ///
 /// All extraction entry points are templates over the key domain (IPv4 /
 /// IPv6 instantiations are explicit in exact_hhh.cpp); the packet-level

@@ -39,7 +39,9 @@ class HhhSet {
   /// Append one reported HHH.
   void add(HhhItem item) { items_.push_back(item); }
 
-  /// All reported items, in extraction order.
+  /// All reported items, in extraction order. The exact extraction
+  /// (exact_hhh.hpp) fixes that order canonically: levels from leaf to
+  /// root, ascending prefix within a level.
   const std::vector<HhhItem>& items() const noexcept { return items_; }
   /// Number of reported items.
   std::size_t size() const noexcept { return items_.size(); }

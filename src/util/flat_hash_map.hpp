@@ -113,7 +113,7 @@ class FlatHashMap {
   /// hand the precomputed values here; `hash` MUST equal `Hash()(key)` or
   /// the table silently corrupts.
   std::pair<Value*, bool> try_emplace_hashed(const Key& key, std::uint64_t hash) {
-    if ((size_ + 1) * 8 >= slots_.size() * 7) rehash(slots_.size() * 2);  // load 7/8
+    if ((size_ + 1) * 8 >= slots_.size() * 7) rehash(slots_.size() * 2);  // load factor 7/8
 
     const std::size_t mask = slots_.size() - 1;
     std::size_t idx = static_cast<std::size_t>(hash) & mask;
@@ -224,8 +224,7 @@ class FlatHashMap {
 
  private:
   void rehash(std::size_t capacity) {
-    std::vector<Slot> old(capacity);
-    old.swap(slots_);
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
     size_ = 0;
     for (auto& s : old) {
       if (s.dib != 0) *try_emplace(s.key).first = std::move(s.value);

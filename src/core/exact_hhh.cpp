@@ -18,12 +18,14 @@ constexpr std::size_t kMaxThresholds = 8;
 // non-HHH child contributes its slot-i residual.
 using ResidualVec = std::array<std::uint64_t, kMaxThresholds>;
 
-// Canonical report order within one level: ascending prefix. Without it
-// the order would follow hash-table capacity and history, so equal
-// counters held in differently sized maps would report differently.
-void sort_level(std::vector<HhhItem>& found) {
+// Move one level's HHHs into `out` in canonical order: ascending prefix.
+// Without the sort the order would follow hash-table capacity and history,
+// so equal counters held in differently sized maps would report differently.
+void append_level(std::vector<HhhItem>& found, HhhSet& out) {
   std::sort(found.begin(), found.end(),
             [](const HhhItem& a, const HhhItem& b) { return a.prefix < b.prefix; });
+  for (const HhhItem& item : found) out.add(item);
+  found.clear();
 }
 
 /// Single-threshold extraction with scalar residuals — the hot path for
@@ -66,9 +68,7 @@ HhhSet extract_hhh_single(const BasicLevelAggregates<D>& agg,
     } else {
       residual.for_each(visit);
     }
-    sort_level(found);
-    for (const HhhItem& item : found) result.add(item);
-    found.clear();
+    append_level(found, result);
     residual = std::move(parent_residual);
   }
   return result;
@@ -145,11 +145,7 @@ std::vector<HhhSet> extract_hhh_multi(const BasicLevelAggregates<D>& agg,
     } else {
       residual.for_each(visit);
     }
-    for (std::size_t i = 0; i < k; ++i) {
-      sort_level(found[i]);
-      for (const HhhItem& item : found[i]) results[i].add(item);
-      found[i].clear();
-    }
+    for (std::size_t i = 0; i < k; ++i) append_level(found[i], results[i]);
     residual = std::move(parent_residual);
   }
   return results;

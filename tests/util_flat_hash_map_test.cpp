@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <unordered_map>
 
@@ -135,7 +134,7 @@ TEST(FlatHashMap, ReserveHoldsNKeysWithoutGrowing) {
     // The smallest such capacity: where insert-driven growth lands too.
     FlatHashMap<std::uint64_t, std::uint64_t> grown;
     for (std::uint64_t k = 0; k < n; ++k) grown[k * 7 + 3] = k;
-    EXPECT_EQ(m.capacity(), std::max(grown.capacity(), std::size_t{16})) << "n=" << n;
+    EXPECT_EQ(m.capacity(), grown.capacity()) << "n=" << n;
   }
 }
 
@@ -155,7 +154,7 @@ TEST(FlatHashMap, ReservePreservesEntries) {
   FlatHashMap<std::uint64_t, std::uint64_t> m(8);
   for (std::uint64_t k = 0; k < 5000; ++k) m[k * 3 + 1] = k;
   m.reserve(100000);
-  EXPECT_GE(m.capacity() * 7, std::size_t{100000} * 8);
+  EXPECT_GT(m.capacity() * 7, std::size_t{100000} * 8);
   EXPECT_EQ(m.size(), 5000u);
   for (std::uint64_t k = 0; k < 5000; ++k) {
     ASSERT_NE(m.find(k * 3 + 1), nullptr) << k;

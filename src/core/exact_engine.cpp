@@ -18,8 +18,8 @@ void BasicExactEngine<D>::add(const PacketRecord& packet) {
 
 template <typename D>
 void BasicExactEngine<D>::add_batch(std::span<const PacketRecord> packets) {
-  // Addition into the level counters commutes, so LevelAggregates' deferred
-  // trie propagation yields byte-identical state to the add() loop.
+  // Addition into the leaf counters commutes, so LevelAggregates' batched
+  // leaf pass yields byte-identical state to the add() loop.
   agg_.add_batch(packets);
 }
 

@@ -1,11 +1,9 @@
 /// \file
 /// ExactEngine — the ground-truth HhhEngine over LevelAggregates.
 ///
-/// add() pays O(levels) per packet (one counter per hierarchy level).
-/// add_batch() routes through LevelAggregates::add_batch, whose deferred
-/// trie propagation re-coalesces the batch per level while walking up the
-/// hierarchy, so each level map sees every distinct prefix once — the
-/// batched analogue of the O(1)-amortized update direction RHHH takes.
+/// add() pays O(1) per packet: one leaf counter, whatever the hierarchy's
+/// depth. The extraction derives the upper levels once per report — the
+/// O(1) update direction RHHH takes, without RHHH's sampling error.
 ///
 /// Templated on the key domain: `ExactEngine` (IPv4, name "exact") and
 /// `ExactV6Engine` (IPv6, name "exact_v6") are the two instantiations;
@@ -21,26 +19,26 @@
 
 namespace hhh {
 
-/// Ground-truth HhhEngine: exact per-level counters + exact extraction.
+/// Ground-truth HhhEngine: exact leaf counters + exact extraction.
 template <typename D>
 class BasicExactEngine final : public HhhEngine {
  public:
-  /// Exact engine over `hierarchy` (one counter map per level). The
+  /// Exact engine over `hierarchy` (counters at its leaf level). The
   /// hierarchy family must match the domain's.
   explicit BasicExactEngine(const Hierarchy& hierarchy);
 
-  /// O(levels) per packet: one counter increment per hierarchy level.
+  /// O(1) per packet: one leaf counter increment.
   void add(const PacketRecord& packet) override;
-  /// Deferred trie propagation (LevelAggregates::add_batch) — byte-identical
-  /// to the add() loop, cheaper on duplicate-heavy batches.
+  /// Pre-hashed leaf pass (LevelAggregates::add_batch) — byte-identical to
+  /// the add() loop.
   void add_batch(std::span<const PacketRecord> packets) override;
-  /// Exact conditioned-count HHH extraction over the level counters.
+  /// Exact conditioned-count HHH extraction over the leaf counters.
   HhhSet extract(double phi) const override;
   /// Zero all counters (window boundary).
   void reset() override;
   /// Exact byte total since the last reset.
   std::uint64_t total_bytes() const override { return agg_.total_bytes(); }
-  /// Footprint of the level counter maps.
+  /// Footprint of the leaf counter map.
   std::size_t memory_bytes() const override;
   /// "exact" (IPv4) / "exact_v6" (IPv6).
   std::string name() const override;
@@ -52,9 +50,9 @@ class BasicExactEngine final : public HhhEngine {
   /// the same family).
   void merge_from(const HhhEngine& other) override;
 
-  /// Always true: the level counters serialize losslessly.
+  /// Always true: the counters serialize losslessly.
   bool serializable() const override { return true; }
-  /// Write the hierarchy + level counters (LevelAggregates::save_state).
+  /// Write the hierarchy + leaf counters (LevelAggregates::save_state).
   void save_state(wire::Writer& w) const override;
   /// Restore counters; throws wire::WireFormatError on hierarchy mismatch.
   void load_state(wire::Reader& r) override;

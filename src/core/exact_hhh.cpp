@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "util/flat_hash_map.hpp"
 
 namespace hhh {
 namespace {
@@ -18,60 +19,53 @@ constexpr std::size_t kMaxThresholds = 8;
 // non-HHH child contributes its slot-i residual.
 using ResidualVec = std::array<std::uint64_t, kMaxThresholds>;
 
-// Move one level's HHHs into `out` in canonical order: ascending prefix.
-// Without the sort the order would follow hash-table capacity and history,
-// so equal counters held in differently sized maps would report differently.
-void append_level(std::vector<HhhItem>& found, HhhSet& out) {
-  std::sort(found.begin(), found.end(),
-            [](const HhhItem& a, const HhhItem& b) { return a.prefix < b.prefix; });
-  for (const HhhItem& item : found) out.add(item);
-  found.clear();
+/// Address byte `d` of a key, counted from the least significant.
+template <typename D>
+unsigned address_byte(const typename D::MapKey& key, unsigned d) {
+  if constexpr (std::is_same_v<D, V6Domain>) {
+    return static_cast<unsigned>((d < 8 ? key.lo >> (8 * d) : key.hi >> (8 * (d - 8))) & 0xFF);
+  } else {
+    return static_cast<unsigned>((key >> (8 + 8 * d)) & 0xFF);  // above the length byte
+  }
 }
 
-/// Single-threshold extraction with scalar residuals — the hot path for
-/// per-window reports. extract_hhh_multi's array-valued residual maps pay
-/// ~8x the slot size in robin-hood displacement, which matters when a
-/// window holds hundreds of thousands of distinct prefixes.
+/// Length of the longest common prefix of two keys' addresses.
 template <typename D>
-HhhSet extract_hhh_single(const BasicLevelAggregates<D>& agg,
-                          std::uint64_t threshold_bytes) {
-  using MapKey = typename D::MapKey;
-  using Map = FlatHashMap<MapKey, std::uint64_t, typename D::Hash>;
-  const Hierarchy& hierarchy = agg.hierarchy();
-  const std::uint64_t threshold = std::max<std::uint64_t>(threshold_bytes, 1);
-
-  HhhSet result;
-  result.total_bytes = agg.total_bytes();
-  result.threshold_bytes = threshold;
-
-  // The leaf level is read straight from `agg` (there every prefix's
-  // residual is its total); only the levels above get residual maps.
-  Map residual;
-  std::vector<HhhItem> found;
-  for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
-    const bool has_parent = level + 1 < hierarchy.levels();
-    const unsigned parent_len = has_parent ? hierarchy.length_at(level + 1) : 0;
-    Map parent_residual(has_parent ? agg.distinct_at(level + 1) * 2 + 16 : 16);
-
-    const auto visit = [&](const MapKey& key, std::uint64_t res) {
-      if (res >= threshold) {
-        const PrefixKey prefix = D::prefix(key);
-        found.push_back(HhhItem{prefix, agg.count(prefix), res});
-        return;  // HHH absorbs its subtree
-      }
-      if (has_parent && res > 0) {
-        parent_residual[D::truncate(key, parent_len)] += res;
-      }
-    };
-    if (level == 0) {
-      agg.for_each_at(0, visit);
-    } else {
-      residual.for_each(visit);
-    }
-    append_level(found, result);
-    residual = std::move(parent_residual);
+unsigned common_length(const typename D::MapKey& a, const typename D::MapKey& b) {
+  if constexpr (std::is_same_v<D, V6Domain>) {
+    return a.hi != b.hi ? std::countl_zero(a.hi ^ b.hi) : 64 + std::countl_zero(a.lo ^ b.lo);
+  } else {
+    return std::countl_zero(static_cast<std::uint32_t>((a ^ b) >> 8));
   }
-  return result;
+}
+
+/// The leaf counters in ascending address order, which is PrefixKey's
+/// order within a level. An LSD radix sort over the address bytes that
+/// skips every byte all keys share, so it costs one pass per varying byte
+/// (a comparison sort of random keys costs several times more).
+template <typename D>
+std::vector<std::pair<typename D::MapKey, std::uint64_t>> sorted_leaves(
+    const BasicLevelAggregates<D>& agg) {
+  using Entry = std::pair<typename D::MapKey, std::uint64_t>;
+  constexpr unsigned kDigits = D::kAddressBits / 8;
+  std::vector<std::array<std::size_t, 256>> counts(kDigits);
+  std::vector<Entry> entries;
+  entries.reserve(agg.leaf().size());
+  agg.leaf().for_each([&](const typename D::MapKey& key, const std::uint64_t& bytes) {
+    entries.emplace_back(key, bytes);
+    for (unsigned d = 0; d < kDigits; ++d) ++counts[d][address_byte<D>(key, d)];
+  });
+  if (entries.size() < 2) return entries;
+  std::vector<Entry> scratch(entries.size());
+  for (unsigned d = 0; d < kDigits; ++d) {
+    auto& next = counts[d];  // becomes each digit value's next output slot
+    if (next[address_byte<D>(entries.front().first, d)] == entries.size()) continue;
+    std::size_t offset = 0;
+    for (std::size_t& slot : next) offset += std::exchange(slot, offset);
+    for (const Entry& e : entries) scratch[next[address_byte<D>(e.first, d)]++] = e;
+    entries.swap(scratch);
+  }
+  return entries;
 }
 
 }  // namespace
@@ -80,73 +74,78 @@ template <typename D>
 std::vector<HhhSet> extract_hhh_multi(const BasicLevelAggregates<D>& agg,
                                       std::span<const std::uint64_t> thresholds) {
   using MapKey = typename D::MapKey;
-  using ResidualMap = FlatHashMap<MapKey, ResidualVec, typename D::Hash>;
   const std::size_t k = thresholds.size();
   if (k == 0) return {};
   if (k > kMaxThresholds) {
     throw std::invalid_argument("extract_hhh_multi: more than 8 thresholds");
   }
-  if (k == 1) {
-    std::vector<HhhSet> one;
-    one.push_back(extract_hhh_single(agg, thresholds[0]));
-    return one;
-  }
   const Hierarchy& hierarchy = agg.hierarchy();
+  const std::size_t levels = hierarchy.levels();
 
-  std::array<std::uint64_t, kMaxThresholds> t{};
+  ResidualVec t{};
   std::vector<HhhSet> results(k);
   for (std::size_t i = 0; i < k; ++i) {
     t[i] = std::max<std::uint64_t>(thresholds[i], 1);
     results[i].total_bytes = agg.total_bytes();
     results[i].threshold_bytes = t[i];
   }
+  if (agg.leaf().empty()) return results;
 
-  // As in extract_hhh_single, the leaf level is read straight from `agg`.
-  ResidualMap residual;
-  std::array<std::vector<HhhItem>, kMaxThresholds> found;
-  for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
-    const bool has_parent = level + 1 < hierarchy.levels();
-    const unsigned parent_len = has_parent ? hierarchy.length_at(level + 1) : 0;
-    ResidualMap parent_residual(has_parent ? agg.distinct_at(level + 1) * 2 + 16 : 16);
+  // The leaves in address order: every prefix of every level is then one
+  // contiguous run of leaves, settled in one pass as soon as its run ends.
+  const auto leaves = sorted_leaves(agg);
 
-    const auto visit = [&](const MapKey& key, const ResidualVec& res) {
-      // The prefix's total is fetched lazily, only when some threshold
-      // marks it as an HHH (count() is a hash lookup).
-      std::uint64_t total = 0;
-      bool have_total = false;
-      PrefixKey prefix;
-      ResidualVec up{};
-      bool any_up = false;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (res[i] >= t[i]) {
-          if (!have_total) {
-            prefix = D::prefix(key);
-            total = agg.count(prefix);
-            have_total = true;
-          }
-          found[i].push_back(HhhItem{prefix, total, res[i]});
-          // HHH absorbs its subtree under threshold i: contributes 0 up.
-        } else if (res[i] > 0) {
-          up[i] = res[i];
-          any_up = true;
-        }
+  // A prefix's total and its residual under each threshold.
+  struct Sums {
+    std::uint64_t total = 0;
+    ResidualVec residual{};
+  };
+  // open[level]: the sums passed up so far to the level's current prefix,
+  // the one holding the last leaf visited.
+  std::vector<Sums> open(levels);
+  // found[level * k + i]: the level's HHHs under threshold i, settled in
+  // ascending prefix order.
+  std::vector<std::vector<HhhItem>> found(levels * k);
+
+  // The prefix of `leaf` at `level` is complete: report it under each
+  // threshold it reaches, and pass its total, and each residual it does
+  // not report, to its parent.
+  const auto settle = [&](std::size_t level, const MapKey& leaf, const Sums& sums) {
+    Sums* parent = level + 1 < levels ? &open[level + 1] : nullptr;
+    if (parent) parent->total += sums.total;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (sums.residual[i] >= t[i]) {
+        // HHH absorbs its subtree under threshold i: contributes 0 up.
+        const PrefixKey prefix = D::prefix(D::truncate(leaf, hierarchy.length_at(level)));
+        found[level * k + i].push_back(HhhItem{prefix, sums.total, sums.residual[i]});
+      } else if (parent) {
+        parent->residual[i] += sums.residual[i];
       }
-      if (has_parent && any_up) {
-        ResidualVec& parent = parent_residual[D::truncate(key, parent_len)];
-        for (std::size_t i = 0; i < k; ++i) parent[i] += up[i];
-      }
-    };
-    if (level == 0) {
-      agg.for_each_at(0, [&](const MapKey& key, std::uint64_t bytes) {
-        ResidualVec leaf{};
-        for (std::size_t i = 0; i < k; ++i) leaf[i] = bytes;
-        visit(key, leaf);
-      });
-    } else {
-      residual.for_each(visit);
     }
-    for (std::size_t i = 0; i < k; ++i) append_level(found[i], results[i]);
-    residual = std::move(parent_residual);
+  };
+  const MapKey* previous = nullptr;
+  for (const auto& [leaf, bytes] : leaves) {
+    if (previous != nullptr) {
+      // Settle the prefixes this leaf leaves: those longer than the prefix
+      // it shares with the previous leaf.
+      const unsigned shared = common_length<D>(*previous, leaf);
+      for (std::size_t level = 1; level < levels && hierarchy.length_at(level) > shared;
+           ++level) {
+        settle(level, *previous, open[level]);
+        open[level] = Sums{};
+      }
+    }
+    Sums sums{bytes, {}};
+    sums.residual.fill(bytes);
+    settle(0, leaf, sums);
+    previous = &leaf;
+  }
+  for (std::size_t level = 1; level < levels; ++level) settle(level, *previous, open[level]);
+
+  for (std::size_t level = 0; level < levels; ++level) {
+    for (std::size_t i = 0; i < k; ++i) {
+      for (const HhhItem& item : found[level * k + i]) results[i].add(item);
+    }
   }
   return results;
 }

@@ -13,13 +13,14 @@
 /// all its HHH descendants" because an HHH child absorbs its whole subtree
 /// (its own residual plus everything deeper already discounted).
 ///
-/// Cost: one pass over each level's live counters — O(distinct prefixes).
-/// The leaf level is read in place; only the levels above it get residual
-/// maps.
+/// Only the leaf level is stored, so every upper prefix's total and
+/// residual are derived here: a radix sort puts the leaf counters in
+/// address order, where each prefix is a contiguous run of leaves, and one
+/// pass settles each prefix as its run ends — O(distinct prefixes).
 ///
 /// Report order is canonical: levels from leaf to root, ascending prefix
 /// within a level. Equal counters therefore report equal item sequences,
-/// whatever capacity or insertion history their level maps carry.
+/// whatever capacity or insertion history their counter map carries.
 ///
 /// All extraction entry points are templates over the key domain (IPv4 /
 /// IPv6 instantiations are explicit in exact_hhh.cpp); the packet-level

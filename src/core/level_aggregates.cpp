@@ -12,7 +12,7 @@ namespace hhh {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Compact v6 level-map encoding (version-2-compatible payload flag).
+// Compact v6 level-map encoding (a payload flag inside wire versions 2-3).
 //
 // A naive v6 counter entry is 25 bytes (u64 hi, u64 lo, u8 len, u64 bytes);
 // an exact_v6 snapshot of a large trace was 65.7 MB of mostly-redundant
@@ -29,12 +29,12 @@ namespace {
 //     raw  ceil(L/8) - shared address bytes (big-endian suffix)
 //     var  counter value (LEB128)
 //
-// The flag keeps the payload inside wire version 2: this build's reader
-// accepts both the legacy per-entry blocks (flag clear — every previously
-// written v2 snapshot) and compact blocks; v1 payloads are IPv4-only and
-// never reach the v6 path. A pre-compact build reading a compact block
-// fails its count validation with a typed error, never UB — the standard
-// forward-compatibility posture of the wire layer.
+// The flag keeps the block inside the wire version: this build's reader
+// accepts both the legacy per-entry blocks (flag clear — v2 snapshots
+// written before the compact codec) and compact blocks; v1 payloads are
+// IPv4-only and never reach the v6 path. A pre-compact build reading a
+// compact block fails its count validation with a typed error, never
+// UB — the standard forward-compatibility posture of the wire layer.
 //
 // The IPv4 encoding is untouched: its packed-u64 entries are the layout
 // version-1 snapshots pin, and its maps are a quarter the bytes per entry
@@ -120,10 +120,12 @@ void write_level_map(wire::Writer& w,
   }
 }
 
+/// Decode one level block into `map`; returns the sum of its counters.
 template <typename D>
-void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
-                    [[maybe_unused]] unsigned level_len) {
+std::uint64_t read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
+                             unsigned level_len) {
   using Map = typename BasicLevelAggregates<D>::Map;
+  std::uint64_t sum = 0;
   const std::uint64_t raw = r.u64();
   if constexpr (std::is_same_v<D, V6Domain>) {
     if (raw & kCompactCountFlag) {
@@ -182,6 +184,9 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
           if ((byte & 0x80) == 0) break;
           shift += 7;
         }
+        if (value == 0) continue;  // see the legacy path
+        wire::check(!__builtin_add_overflow(sum, value, &sum), wire::WireError::kBadValue,
+                    "LevelAggregates counters overflow");
         decoded.push_back(
             DecodedEntry{typename D::Hash{}(key) & mask, key, value});
       }
@@ -196,7 +201,7 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
                     "LevelAggregates duplicate key");
         *v = e.value;
       }
-      return;
+      return sum;
     }
   }
   // Legacy per-entry block (and the whole IPv4 path).
@@ -208,10 +213,20 @@ void read_level_map(wire::Reader& r, typename BasicLevelAggregates<D>::Map& map,
   map = Map(n * 2);
   for (std::uint64_t i = 0; i < n; ++i) {
     const typename D::MapKey key = D::read_key(r);
+    wire::check(D::length(key) == level_len && D::truncate(key, level_len) == key,
+                wire::WireError::kBadValue,
+                "LevelAggregates key is not a prefix of its level's length");
+    const std::uint64_t value = r.u64();
+    // Writers before version 3 kept zero counters for zero-length packets;
+    // a zero counter counts nothing, and no live counter is zero.
+    if (value == 0) continue;
+    wire::check(!__builtin_add_overflow(sum, value, &sum), wire::WireError::kBadValue,
+                "LevelAggregates counters overflow");
     auto [v, inserted] = map.try_emplace(key);
     wire::check(inserted, wire::WireError::kBadValue, "LevelAggregates duplicate key");
-    *v = r.u64();
+    *v = value;
   }
+  return sum;
 }
 
 }  // namespace
@@ -220,16 +235,29 @@ template <typename D>
 void BasicLevelAggregates<D>::save_state(wire::Writer& w) const {
   wire::write_hierarchy(w, hierarchy_);
   w.u64(total_);
-  for (std::size_t level = 0; level < maps_.size(); ++level) {
-    write_level_map<D>(w, maps_[level], hierarchy_.length_at(level));
-  }
+  write_level_map<D>(w, leaf_, hierarchy_.leaf_length());
 }
 
 template <typename D>
 void BasicLevelAggregates<D>::read_counters(wire::Reader& r) {
   total_ = r.u64();
-  for (std::size_t level = 0; level < maps_.size(); ++level) {
-    read_level_map<D>(r, maps_[level], hierarchy_.length_at(level));
+  wire::check(read_level_map<D>(r, leaf_, hierarchy_.leaf_length()) == total_,
+              wire::WireError::kBadValue,
+              "LevelAggregates total is not the sum of the leaf counters");
+  if (r.version() >= 3) return;
+  // Versions 1-2 also carry every upper level. Each must equal the leaf's
+  // sums, or extraction would drop the disagreeing block without a trace.
+  for (std::size_t level = 1; level < hierarchy_.levels(); ++level) {
+    Map block;
+    read_level_map<D>(r, block, hierarchy_.length_at(level));
+    const Map expected = level_map(level);
+    bool equal = block.size() == expected.size();
+    expected.for_each([&](const MapKey& key, const std::uint64_t& bytes) {
+      const std::uint64_t* v = block.find(key);
+      equal &= v != nullptr && *v == bytes;
+    });
+    wire::check(equal, wire::WireError::kBadValue,
+                "LevelAggregates level block disagrees with the leaf counters");
   }
 }
 
@@ -238,14 +266,6 @@ void BasicLevelAggregates<D>::load_state(wire::Reader& r) {
   wire::check(wire::read_hierarchy(r) == hierarchy_, wire::WireError::kParamsMismatch,
               "LevelAggregates hierarchy mismatch");
   read_counters(r);
-}
-
-template <typename D>
-BasicLevelAggregates<D> BasicLevelAggregates<D>::deserialize(wire::Reader& r) {
-  const Hierarchy hierarchy = wire::read_hierarchy(r);
-  wire::check(hierarchy.family() == D::kFamily, wire::WireError::kParamsMismatch,
-              "LevelAggregates address family mismatch");
-  return deserialize_counters(hierarchy, r);
 }
 
 template class BasicLevelAggregates<V4Domain>;

@@ -1,11 +1,12 @@
 /// \file
-/// LevelAggregates — exact per-level byte counters with O(levels) updates.
+/// LevelAggregates — exact byte counters with O(1) updates.
 ///
 /// The exact ground-truth engine behind both window models. For every packet
-/// it increments (or, when a window slides, decrements) one counter per
-/// hierarchy level: the packet's source generalized to that level. HHH
-/// extraction (exact_hhh.hpp) then runs over these maps without touching the
-/// packet stream again.
+/// it increments (or, when a window slides, decrements) one counter: the
+/// packet's source generalized to the hierarchy's leaf level. Every upper
+/// level is a sum of the leaf level, so it is not stored: HHH extraction
+/// (exact_hhh.hpp) derives the upper levels once per report instead of
+/// once per packet, and the wire carries the leaf level only.
 ///
 /// Counters are erased when they return to zero so that a sliding window's
 /// working set stays proportional to the *window's* distinct prefixes, not
@@ -32,60 +33,52 @@
 
 namespace hhh {
 
-/// Exact per-level byte counters: one FlatHashMap per hierarchy level,
-/// updated for every packet, queried by the exact HHH extraction.
+/// Exact byte counters at the hierarchy's leaf level; every upper level is
+/// derived from them by the exact HHH extraction.
 template <typename D>
 class BasicLevelAggregates {
  public:
   /// The domain's storage key (u64 for IPv4, 128-bit struct for IPv6).
   using MapKey = typename D::MapKey;
-  /// One level's counter map.
+  /// A counter map keyed by prefixes of one length.
   using Map = FlatHashMap<MapKey, std::uint64_t, typename D::Hash>;
 
-  /// Counters for every level of `hierarchy`, all initially zero. The
-  /// hierarchy's family must match the domain's; throws
-  /// std::invalid_argument otherwise.
-  explicit BasicLevelAggregates(const Hierarchy& hierarchy) : hierarchy_(hierarchy) {
+  /// Counters over `hierarchy`, all initially zero. The hierarchy's
+  /// family must match the domain's; throws std::invalid_argument
+  /// otherwise.
+  explicit BasicLevelAggregates(const Hierarchy& hierarchy)
+      : hierarchy_(hierarchy), leaf_(1024) {
     if (hierarchy_.family() != D::kFamily) {
       throw std::invalid_argument("LevelAggregates: hierarchy family mismatch");
     }
-    maps_.reserve(hierarchy_.levels());
-    for (std::size_t i = 0; i < hierarchy_.levels(); ++i) maps_.emplace_back(1024);
   }
 
-  /// Add `bytes` for source `src` at every level. Packets of the other
+  /// Add `bytes` for source `src` at the leaf level. Packets of the other
   /// address family are ignored (not counted) — callers of a dual-stack
-  /// pipeline route per family; see HhhEngine::add.
+  /// pipeline route per family; see HhhEngine::add. Zero bytes count
+  /// nothing, so no counter is ever zero.
   void add(IpAddress src, std::uint64_t bytes) {
-    if (src.family() != D::kFamily) return;
+    if (src.family() != D::kFamily || bytes == 0) return;
     total_ += bytes;
-    for (std::size_t level = 0; level < maps_.size(); ++level) {
-      maps_[level][D::key(src, hierarchy_.length_at(level))] += bytes;
-    }
+    leaf_[D::key(src, hierarchy_.leaf_length())] += bytes;
   }
 
-  /// Batched add, byte-identical in effect to calling add() per packet.
-  /// The batch is coalesced at the leaf level first and the distinct set is
-  /// re-coalesced while propagating up the trie, so each level map sees
-  /// every distinct prefix once: O(n + sum of per-level distinct) counter
-  /// updates instead of O(n * levels).
+  /// Batched add, identical in effect to calling add() per packet.
   ///
-  /// The leaf pass is structured for the vector units: same-family records
-  /// are gathered into contiguous half/byte arrays, generalized and hashed
-  /// as whole arrays (D::key_hash_batch — SIMD mix64, see util/simd.hpp),
-  /// and inserted with the precomputed hashes (try_emplace_hashed), so the
+  /// Structured for the vector units: same-family records are gathered
+  /// into contiguous half/byte arrays, generalized and hashed as whole
+  /// arrays (D::key_hash_batch — SIMD mix64, see util/simd.hpp), and
+  /// inserted with the precomputed hashes (try_emplace_hashed), so the
   /// per-packet loop left over is just the table probe.
   void add_batch(std::span<const PacketRecord> packets) {
-    if (packets.empty()) return;
-    scratch_.clear();
     gather_hi_.clear();
     gather_lo_.clear();
     gather_bytes_.clear();
     for (const auto& p : packets) {
-      // One predictable compare per packet (family shares the record's
-      // first cache line with ip_len): other-family packets are skipped,
-      // exactly like exact_hhh_of().
-      if (p.family() != D::kFamily) continue;
+      // Predictable compares per packet (family shares the record's first
+      // cache line with ip_len): other-family and zero-length packets are
+      // skipped, exactly like add().
+      if (p.family() != D::kFamily || p.ip_len == 0) continue;
       gather_hi_.push_back(p.src_hi());
       gather_lo_.push_back(p.src_lo());
       gather_bytes_.push_back(p.ip_len);
@@ -99,44 +92,23 @@ class BasicLevelAggregates {
     std::uint64_t batch_total = 0;
     for (std::size_t i = 0; i < n; ++i) {
       batch_total += gather_bytes_[i];
-      *scratch_.try_emplace_hashed(gather_keys_[i], gather_hashes_[i]).first +=
+      *leaf_.try_emplace_hashed(gather_keys_[i], gather_hashes_[i]).first +=
           gather_bytes_[i];
     }
     total_ += batch_total;
-    if (batch_total == 0) return;
-    for (std::size_t level = 0;; ++level) {
-      auto& map = maps_[level];
-      map.reserve(map.size() + scratch_.size());  // FlatHashMap bucket-order rule
-      if (level + 1 == maps_.size()) {
-        scratch_.for_each(
-            [&](const MapKey& key, std::uint64_t& bytes) { map[key] += bytes; });
-        break;
-      }
-      // Fused pass: apply this level's distinct sums and build the next
-      // level's coalesced set in the same scan.
-      const unsigned next_len = hierarchy_.length_at(level + 1);
-      carry_.clear();
-      scratch_.for_each([&](const MapKey& key, std::uint64_t& bytes) {
-        map[key] += bytes;
-        carry_[D::truncate(key, next_len)] += bytes;
-      });
-      std::swap(scratch_, carry_);
-    }
   }
 
   /// Remove previously added traffic (window slide). Counts must never go
   /// negative — callers only remove what they added.
   void remove(IpAddress src, std::uint64_t bytes) {
-    if (src.family() != D::kFamily) return;
+    if (src.family() != D::kFamily || bytes == 0) return;
     assert(total_ >= bytes);
     total_ -= bytes;
-    for (std::size_t level = 0; level < maps_.size(); ++level) {
-      const MapKey key = D::key(src, hierarchy_.length_at(level));
-      auto* count = maps_[level].find(key);
-      assert(count != nullptr && *count >= bytes);
-      *count -= bytes;
-      if (*count == 0) maps_[level].erase(key);
-    }
+    const MapKey key = D::key(src, hierarchy_.leaf_length());
+    auto* count = leaf_.find(key);
+    assert(count != nullptr && *count >= bytes);
+    *count -= bytes;
+    if (*count == 0) leaf_.erase(key);
   }
 
   /// Fold another instance's counters into this one. Lossless: counter
@@ -149,46 +121,52 @@ class BasicLevelAggregates {
       throw std::invalid_argument("LevelAggregates::merge: hierarchy mismatch");
     }
     total_ += other.total_;
-    for (std::size_t level = 0; level < maps_.size(); ++level) {
-      auto& map = maps_[level];
-      map.reserve(map.size() + other.maps_[level].size());  // FlatHashMap bucket-order rule
-      other.maps_[level].for_each(
-          [&](const MapKey& key, const std::uint64_t& bytes) { map[key] += bytes; });
-    }
+    leaf_.reserve(leaf_.size() + other.leaf_.size());  // FlatHashMap bucket-order rule
+    other.leaf_.for_each(
+        [&](const MapKey& key, const std::uint64_t& bytes) { leaf_[key] += bytes; });
   }
 
   /// Zero every counter (window boundary).
   void clear() {
-    for (auto& m : maps_) m.clear();
+    leaf_.clear();
     total_ = 0;
   }
 
-  /// Bytes accounted since construction / the last clear().
+  /// Bytes accounted since construction / the last clear(); always the
+  /// sum of the leaf counters.
   std::uint64_t total_bytes() const noexcept { return total_; }
 
   /// The hierarchy the counters are organised by.
   const Hierarchy& hierarchy() const noexcept { return hierarchy_; }
 
+  /// The leaf-level counters (all non-zero): what extraction walks and the
+  /// wire carries.
+  const Map& leaf() const noexcept { return leaf_; }
+
+  // Per-level views. Each derives its level from the leaf counters in
+  // O(distinct leaves): for tests and examples, never for a hot path.
+
   /// Byte count of `prefix` (must be at a hierarchy level), 0 if absent.
-  std::uint64_t count(PrefixKey prefix) const noexcept {
+  std::uint64_t count(PrefixKey prefix) const {
     const std::size_t level = hierarchy_.level_of(prefix);
     if (level == Hierarchy::npos) return 0;
-    const auto* v = maps_[level].find(D::map_key(prefix));
+    const Map counters = level_map(level);
+    const std::uint64_t* v = counters.find(D::map_key(prefix));
     return v ? *v : 0;
   }
 
   /// Number of live (non-zero) prefixes at `level`.
-  std::size_t distinct_at(std::size_t level) const noexcept { return maps_[level].size(); }
+  std::size_t distinct_at(std::size_t level) const { return level_map(level).size(); }
 
   /// Visit every live (map_key, bytes) pair at `level`; lift map keys into
   /// generic prefixes with D::prefix().
   template <typename Fn>
   void for_each_at(std::size_t level, Fn&& fn) const {
-    maps_[level].for_each(
+    level_map(level).for_each(
         [&](const MapKey& key, const std::uint64_t& bytes) { fn(key, bytes); });
   }
 
-  /// Write the hierarchy and every level's live counters to the wire.
+  /// Write the hierarchy, the total and the leaf counters to the wire.
   /// Lossless: the restored counters are equal, so extraction and all
   /// future add/remove/merge behaviour are byte-identical.
   void save_state(wire::Writer& w) const;
@@ -208,29 +186,28 @@ class BasicLevelAggregates {
     return agg;
   }
 
-  /// Construct an instance directly from the wire (reads the hierarchy
-  /// from the payload). The hierarchy's family must match the domain.
-  static BasicLevelAggregates deserialize(wire::Reader& r);
-
-  /// Memory footprint of all level maps (resource accounting).
-  std::size_t memory_bytes() const noexcept {
-    std::size_t sum = 0;
-    for (const auto& m : maps_) sum += m.memory_bytes();
-    return sum;
-  }
+  /// Memory footprint of the counter map (resource accounting).
+  std::size_t memory_bytes() const noexcept { return leaf_.memory_bytes(); }
 
  private:
   void read_counters(wire::Reader& r);
 
+  /// The counters of `level`, summed from the leaf.
+  Map level_map(std::size_t level) const {
+    const unsigned len = hierarchy_.length_at(level);
+    Map out;
+    out.reserve(leaf_.size());
+    leaf_.for_each([&](const MapKey& key, const std::uint64_t& bytes) {
+      out[D::truncate(key, len)] += bytes;
+    });
+    return out;
+  }
+
   Hierarchy hierarchy_;
-  std::vector<Map> maps_;  // one per level
+  Map leaf_;
   std::uint64_t total_ = 0;
-  // add_batch() ping-pong scratch (members so batches reuse capacity).
-  Map scratch_;
-  Map carry_;
-  // add_batch() leaf-pass gather arrays (contiguous SoA views of the batch
-  // for the SIMD generalize/hash kernels; members so batches reuse
-  // capacity).
+  // add_batch() gather arrays (contiguous SoA views of the batch for the
+  // SIMD generalize/hash kernels; members so batches reuse capacity).
   std::vector<std::uint64_t> gather_hi_;
   std::vector<std::uint64_t> gather_lo_;
   std::vector<std::uint32_t> gather_bytes_;

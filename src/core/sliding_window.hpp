@@ -5,9 +5,10 @@
 /// trailing `window` (the paper uses the same 5/10/20 s lengths as the
 /// disjoint tiling). Exact computation throughout: packets are bucketized
 /// per step; a rolling LevelAggregates adds each packet once and subtracts
-/// a whole bucket when it leaves the window, so the cost is O(levels) per
-/// packet plus O(distinct-in-bucket) per slide — this is what makes exact
-/// ground truth over thousands of window positions feasible.
+/// a whole bucket when it leaves the window, so the cost is O(1) per packet
+/// plus O(distinct-in-bucket) per slide and one extraction per report —
+/// this is what makes exact ground truth over thousands of window
+/// positions feasible.
 ///
 /// Requirements: window is an integer multiple of step (checked).
 #pragma once

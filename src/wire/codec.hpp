@@ -4,10 +4,10 @@
 /// header: included by .cpp files that implement save_state/load_state,
 /// never by public headers.
 ///
-/// Version awareness: writers always emit the current (version-2,
-/// family-generic) shape; readers branch on Reader::version() so that
-/// version-1 (IPv4-only) payloads decode unchanged — a v1 hierarchy has no
-/// family byte and a v1 prefix is a packed 64-bit key.
+/// Version awareness: writers always emit the family-generic shape of
+/// versions 2-3; readers branch on Reader::version() so that version-1
+/// (IPv4-only) payloads decode unchanged — a v1 hierarchy has no family
+/// byte and a v1 prefix is a packed 64-bit key.
 #pragma once
 
 #include <cstdint>

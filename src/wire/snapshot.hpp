@@ -7,7 +7,7 @@
 /// | offset | size | field                                     |
 /// |-------:|-----:|-------------------------------------------|
 /// |      0 |    4 | magic `"HHHS"` (0x48 0x48 0x48 0x53)      |
-/// |      4 |    2 | format version (currently 2; 1 accepted)  |
+/// |      4 |    2 | format version (currently 3; 1–2 accepted)|
 /// |      6 |    2 | SnapshotKind                              |
 /// |      8 |    8 | payload length N                          |
 /// |     16 |    N | payload (the object's save_state() bytes) |
@@ -21,10 +21,10 @@
 ///
 /// Versioning policy: the version is bumped whenever any payload encoding
 /// changes shape; readers accept exactly the versions they know and reject
-/// everything else with kBadVersion. This build writes version 2 (the
-/// family-generic encoding with IPv6 support) and still reads version 1
-/// (the IPv4-only encoding): the frame's version travels in the payload
-/// Reader, and the shared codecs (wire/codec.hpp) branch on it. There are
+/// everything else with kBadVersion. This build writes version 3 (exact
+/// engines carry leaf counters only) and still reads 2 (family-generic,
+/// exact engines carry every level) and 1 (IPv4-only): the frame's version
+/// travels in the payload Reader, and the decoders branch on it. There are
 /// no in-place "minor" extensions beyond that — a frame either parses
 /// under a known version's rules or is refused.
 #pragma once

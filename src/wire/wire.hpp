@@ -50,10 +50,12 @@ const char* to_string(WireError e) noexcept;
 ///  * 1 — IPv4-only payloads (hierarchies without a family byte, prefixes
 ///    as packed 64-bit keys);
 ///  * 2 — address-family-generic payloads (hierarchy carries a family
-///    byte, prefixes are family-tagged, IPv6 keys are 128-bit).
+///    byte, prefixes are family-tagged, IPv6 keys are 128-bit);
+///  * 3 — exact-engine payloads carry the leaf level only (the upper
+///    levels are sums of it); every other payload is shaped as in 2.
 /// Readers accept versions [kWireMinVersion, kWireVersion]; a Reader
-/// carries the frame's version so shared codecs can decode both shapes.
-inline constexpr std::uint16_t kWireVersion = 2;
+/// carries the frame's version so shared codecs can decode every shape.
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::uint16_t kWireMinVersion = 1;
 
 /// The exception every decode/validation failure in the wire layer throws.

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
+#include "core/exact_hhh.hpp"
+#include "core/prefix_trie.hpp"
+#include "harness/golden.hpp"
+#include "harness/trace_builder.hpp"
 #include "util/random.hpp"
 
 namespace hhh {
@@ -102,23 +109,12 @@ TEST(LevelAggregates, RandomAddRemoveConsistency) {
     }
   }
   EXPECT_EQ(agg.total_bytes(), expected_total);
-  for (std::size_t level = 0; level < 5; ++level) {
-    EXPECT_EQ(agg.distinct_at(level), reference.distinct_at(level)) << "level " << level;
-    reference.for_each_at(level, [&](std::uint64_t key, std::uint64_t bytes) {
-      EXPECT_EQ(agg.count(Ipv4Prefix::from_key(key)), bytes);
-    });
-  }
+  EXPECT_EQ(harness::level_counters(agg), harness::level_counters(reference));
 }
 
 void expect_same_counters(const LevelAggregates& got, const LevelAggregates& want) {
   EXPECT_EQ(got.total_bytes(), want.total_bytes());
-  for (std::size_t level = 0; level < want.hierarchy().levels(); ++level) {
-    EXPECT_EQ(got.distinct_at(level), want.distinct_at(level)) << "level " << level;
-    want.for_each_at(level, [&](std::uint64_t key, std::uint64_t bytes) {
-      EXPECT_EQ(got.count(Ipv4Prefix::from_key(key)), bytes)
-          << Ipv4Prefix::from_key(key).to_string();
-    });
-  }
+  EXPECT_EQ(harness::level_counters(got), harness::level_counters(want));
 }
 
 // Merging copies one table's slots into another that uses the same hash,
@@ -164,6 +160,99 @@ TEST(LevelAggregates, MergeAcrossCapacitiesEqualsIngestingTheConcatenation) {
   // The smaller table merged into the larger one.
   b.merge(a);
   expect_same_counters(b, concat);
+}
+
+// Only the leaf level is stored; every upper level is derived. Check the
+// derived levels against the layout they replace, one std::map per level
+// updated at every level for every packet, over streams that mix add(),
+// add_batch(), zero-length packets and remove(). Extraction must match the
+// independent PrefixTrie over the surviving traffic.
+template <typename D>
+void check_against_per_level_maps(const Hierarchy& hierarchy, std::uint64_t seed) {
+  Rng rng(seed);
+  BasicLevelAggregates<D> agg(hierarchy);
+  std::vector<std::map<PrefixKey, std::uint64_t>> reference(hierarchy.levels());
+  std::map<IpAddress, std::uint64_t> surviving;
+  std::vector<std::pair<IpAddress, std::uint64_t>> added;
+  const auto update = [&](IpAddress src, std::uint64_t bytes, bool add) {
+    for (std::size_t level = 0; level < hierarchy.levels(); ++level) {
+      auto& count = reference[level][PrefixKey(src, hierarchy.length_at(level))];
+      count = add ? count + bytes : count - bytes;
+    }
+    surviving[src] = add ? surviving[src] + bytes : surviving[src] - bytes;
+  };
+  const auto random_source = [&] {
+    // A small hierarchical space, so prefixes share ancestors at every level.
+    const std::uint64_t hi = rng.below(3) << 60 | rng.below(4) << 44 | rng.below(6) << 36;
+    if (D::kFamily == AddressFamily::kIpv4) {
+      return IpAddress(Ipv4Address(static_cast<std::uint32_t>(hi >> 32)));
+    }
+    return IpAddress::v6(hi | rng.below(3) << 8, rng.below(5));
+  };
+  for (int op = 1; op <= 6000; ++op) {
+    if (!added.empty() && rng.below(4) == 0) {
+      const std::size_t i = rng.below(added.size());
+      const auto [src, bytes] = added[i];
+      added[i] = added.back();
+      added.pop_back();
+      agg.remove(src, bytes);
+      update(src, bytes, false);
+    } else {
+      const IpAddress src = random_source();
+      const std::uint32_t bytes =
+          rng.below(5) == 0 ? 0 : 1 + static_cast<std::uint32_t>(rng.below(1499));
+      if (rng.below(2) == 0) {
+        agg.add(src, bytes);
+      } else {
+        PacketRecord packet = harness::packet_at(0.0, Ipv4Address(0), bytes);
+        packet.set_src(src);
+        agg.add_batch(std::span<const PacketRecord>(&packet, 1));
+      }
+      added.emplace_back(src, bytes);
+      update(src, bytes, true);
+    }
+    if (op % 1500 != 0) continue;
+
+    std::vector<std::map<PrefixKey, std::uint64_t>> want(hierarchy.levels());
+    for (std::size_t level = 0; level < want.size(); ++level) {
+      for (const auto& [prefix, bytes] : reference[level]) {
+        if (bytes != 0) want[level].emplace(prefix, bytes);  // no counter is ever zero
+      }
+    }
+    ASSERT_EQ(harness::level_counters(agg), want) << "op " << op;
+    PrefixTrie trie(D::kFamily);
+    for (const auto& [src, bytes] : surviving) {
+      if (bytes != 0) trie.add(src, bytes);
+    }
+    ASSERT_EQ(agg.total_bytes(), trie.total_bytes());
+    for (const double phi : {0.01, 0.05, 0.2}) {
+      EXPECT_TRUE(harness::hhh_sets_equal(trie.extract_relative(hierarchy, phi),
+                                          extract_hhh_relative(agg, phi)))
+          << "op " << op << " phi " << phi;
+    }
+  }
+}
+
+TEST(LevelAggregates, DerivedLevelsEqualPerLevelMapsV4) {
+  check_against_per_level_maps<V4Domain>(Hierarchy::byte_granularity(), 21);
+  check_against_per_level_maps<V4Domain>(Hierarchy::bit_granularity(), 22);
+}
+
+TEST(LevelAggregates, DerivedLevelsEqualPerLevelMapsV6) {
+  check_against_per_level_maps<V6Domain>(Hierarchy::v6_byte_granularity(), 23);
+  check_against_per_level_maps<V6Domain>(Hierarchy::v6_nibble_granularity(), 24);
+}
+
+TEST(LevelAggregates, ZeroBytesCountNothing) {
+  LevelAggregates agg(Hierarchy::byte_granularity());
+  agg.add(ip("10.1.2.3"), 0);
+  const PacketRecord empty = harness::packet_at(0.0, ip("10.1.2.4"), 0);
+  agg.add_batch(std::span<const PacketRecord>(&empty, 1));
+  EXPECT_EQ(agg.distinct_at(0), 0u);
+  agg.remove(ip("10.1.2.3"), 0);  // nothing to remove, nothing removed
+  agg.add(ip("10.1.2.3"), 7);
+  agg.remove(ip("10.1.2.3"), 0);
+  EXPECT_EQ(agg.count(pfx("10.1.2.3/32")), 7u);
 }
 
 TEST(LevelAggregates, MemoryGrowsWithDistinctKeys) {

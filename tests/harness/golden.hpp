@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/hhh_types.hpp"
+#include "core/level_aggregates.hpp"
 
 namespace hhh::harness {
 
@@ -34,5 +37,21 @@ namespace hhh::harness {
 /// Human-readable per-prefix diff ("only in expected / only in actual /
 /// volume mismatch"), used by all comparators above.
 std::string diff_hhh_sets(const HhhSet& expected, const HhhSet& actual);
+
+/// Every hierarchy level of `agg` as an ordered prefix -> bytes map. Each
+/// level is derived once: LevelAggregates' per-level views cost O(distinct
+/// leaves) a call, so checking counters key by key through count() would
+/// be quadratic.
+template <typename D>
+std::vector<std::map<PrefixKey, std::uint64_t>> level_counters(
+    const BasicLevelAggregates<D>& agg) {
+  std::vector<std::map<PrefixKey, std::uint64_t>> levels(agg.hierarchy().levels());
+  for (std::size_t level = 0; level < levels.size(); ++level) {
+    agg.for_each_at(level, [&](const typename D::MapKey& key, std::uint64_t bytes) {
+      levels[level].emplace(D::prefix(key), bytes);
+    });
+  }
+  return levels;
+}
 
 }  // namespace hhh::harness

@@ -1,14 +1,18 @@
-// Wire backward compatibility: version-1 (pre-generic, IPv4-only)
-// snapshot files committed under tests/data/ must keep loading under the
-// version-2 reader, with byte-identical behaviour to an engine that
-// ingested the same stream live.
+// Wire backward compatibility: snapshot files committed under tests/data/
+// by older builds must keep loading under the current reader, with
+// byte-identical behaviour to an engine that ingested the same stream live.
 //
-// The fixtures were generated by the pre-refactor build (see
-// tests/data/README.md): TraceBuilder(77).compact_space().packets(30000)
-// into ExactEngine{byte_granularity} and RhhhEngine{counters=256,
-// seed=913}. The v4 trace generator path is seed-stable, so re-deriving
-// the same stream today reproduces the exact engine state the fixtures
-// captured.
+// The fixtures (see tests/data/README.md) all hold
+// TraceBuilder(77).compact_space().packets(30000), the v6 ones with
+// .v6_fraction(1.0):
+//  * version 1 (pre-generic, IPv4-only), written by the pre-refactor
+//    build: ExactEngine{byte_granularity} and RhhhEngine{counters=256,
+//    seed=913};
+//  * version 2 (family-generic, exact engines carrying every hierarchy
+//    level), written by the last version-2 build: ExactEngine
+//    {byte_granularity} and ExactV6Engine{v6_byte_granularity}.
+// The trace generator is seed-stable, so re-deriving the same stream today
+// reproduces the engine state the fixtures captured.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -18,6 +22,7 @@
 #include "core/rhhh.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
+#include "wire/codec.hpp"
 #include "wire/snapshot.hpp"
 
 namespace hhh {
@@ -88,11 +93,159 @@ TEST(WireCompat, V1RhhhSnapshotRestoresBehaviour) {
   EXPECT_TRUE(harness::hhh_sets_equal(live.extract(0.05), restored->extract(0.05)));
 }
 
-TEST(WireCompat, V2WriterEmitsCurrentVersion) {
+// --- version 2: exact engines carried every hierarchy level -----------------
+
+struct V2Fixture {
+  const char* name;
+  Hierarchy hierarchy;
+  double v6_fraction;
+  std::uint64_t golden_total;  // from the version-2 build's run
+};
+
+std::vector<V2Fixture> v2_fixtures() {
+  return {{"v2_exact.snap", Hierarchy::byte_granularity(), 0.0, 21449256u},
+          {"v2_exact_v6.snap", Hierarchy::v6_byte_granularity(), 1.0, 21503736u}};
+}
+
+std::uint64_t little_endian_u64(const std::uint8_t* p) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
+  return v;
+}
+
+void put_little_endian(std::uint8_t* p, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+void expect_bad_value(const std::vector<std::uint8_t>& frame) {
+  try {
+    (void)wire::load_engine(frame);
+    FAIL() << "expected kBadValue";
+  } catch (const wire::WireFormatError& e) {
+    EXPECT_EQ(e.code(), wire::WireError::kBadValue) << e.what();
+  }
+}
+
+/// Replace the frame's CRC with the checksum of its edited bytes, so that
+/// only the payload decoder can notice the edit.
+void reseal(std::vector<std::uint8_t>& frame) {
+  const std::size_t body = frame.size() - wire::kFrameCrcBytes;
+  put_little_endian(frame.data() + body, wire::crc32(frame.data(), body), 4);
+}
+
+/// Frame offset of the first counter of the exact-engine level block whose
+/// prefix length is `len`, in a version-2 exact frame.
+std::size_t v2_first_counter_of_level(const std::vector<std::uint8_t>& frame, unsigned len) {
+  const wire::FrameView view = wire::parse_frame(frame);
+  wire::Reader r(view.payload, view.version);
+  const Hierarchy hierarchy = wire::read_hierarchy(r);
+  (void)r.u64();  // total
+  const auto offset = [&] {
+    return wire::kFrameHeaderBytes + view.payload.size() - r.remaining();
+  };
+  for (std::size_t level = 0;; ++level) {
+    const std::uint64_t count = r.u64();
+    const bool target = hierarchy.length_at(level) == len;
+    if (hierarchy.family() == AddressFamily::kIpv4) {
+      if (target) return offset() + 8;  // past the first entry's u64 key
+      r.skip(count * 16);
+      continue;
+    }
+    // Compact v6 block: flagged count, u8 length, then per entry a shared
+    // byte count, the differing address bytes and a varint counter.
+    const unsigned sig = (r.u8() + 7) / 8;
+    for (std::uint64_t i = 0; i < (count & ~(1ULL << 63)); ++i) {
+      r.skip(sig - r.u8());
+      if (target) return offset();
+      (void)r.var_u64();
+    }
+  }
+}
+
+TEST(WireCompat, V2FixturesAreVersionTwo) {
+  for (const auto& fixture : v2_fixtures()) {
+    EXPECT_EQ(wire::parse_frame(fixture_bytes(fixture.name)).version, 2) << fixture.name;
+  }
+}
+
+TEST(WireCompat, V2ExactSnapshotsLoadAndMatchLiveIngest) {
+  for (const auto& fixture : v2_fixtures()) {
+    SCOPED_TRACE(fixture.name);
+    const auto restored = wire::load_engine(fixture_bytes(fixture.name));
+    ASSERT_NE(restored, nullptr);
+
+    auto live = make_exact_engine(fixture.hierarchy);
+    for (const auto& p : harness::TraceBuilder(77)
+                             .compact_space()
+                             .v6_fraction(fixture.v6_fraction)
+                             .packets(30000)) {
+      live->add(p);
+    }
+    EXPECT_EQ(restored->name(), live->name());
+    EXPECT_EQ(restored->total_bytes(), live->total_bytes());
+    EXPECT_EQ(restored->total_bytes(), fixture.golden_total);
+    for (const double phi : {0.01, 0.03, 0.2}) {
+      EXPECT_TRUE(harness::hhh_sets_equal(live->extract(phi), restored->extract(phi)))
+          << "phi=" << phi;
+    }
+    EXPECT_EQ(restored->extract(0.03).size(), 21u);
+  }
+}
+
+// Extraction derives the upper levels from the leaf, so a version-2 frame
+// whose upper level disagrees with its leaf must not load: otherwise the
+// disagreeing level would vanish without a trace.
+TEST(WireCompat, V2UpperLevelThatDisagreesWithTheLeafIsRejected) {
+  for (const auto& fixture : v2_fixtures()) {
+    SCOPED_TRACE(fixture.name);
+    auto frame = fixture_bytes(fixture.name);
+    const unsigned len = fixture.hierarchy.family() == AddressFamily::kIpv4 ? 24 : 56;
+    const std::size_t at = v2_first_counter_of_level(frame, len);
+    // One more byte for v4's u64; ±1 in the low bit of v6's first varint
+    // byte, which keeps the varint well-formed.
+    frame[at] ^= 0x01;
+    reseal(frame);
+    expect_bad_value(frame);
+  }
+}
+
+// --- version 3: exact engines carry the leaf level only ---------------------
+
+TEST(WireCompat, WriterEmitsCurrentVersion) {
   ExactEngine engine(Hierarchy::byte_granularity());
   const auto frame_bytes = wire::save_engine(engine);
   EXPECT_EQ(wire::parse_frame(frame_bytes).version, wire::kSnapshotVersion);
-  EXPECT_EQ(wire::kSnapshotVersion, 2);
+  EXPECT_EQ(wire::kSnapshotVersion, 3);
+}
+
+TEST(WireCompat, V3ExactPayloadHoldsOneLevelBlock) {
+  ExactEngine engine(Hierarchy::byte_granularity());
+  engine.add_batch(fixture_workload());
+  const auto frame = wire::save_engine(engine);
+  const wire::FrameView view = wire::parse_frame(frame);
+  wire::Reader r(view.payload, view.version);
+  EXPECT_EQ(wire::read_hierarchy(r), engine.aggregates().hierarchy());
+  EXPECT_EQ(r.u64(), engine.total_bytes());
+  const std::uint64_t leaves = r.u64();
+  EXPECT_EQ(leaves, engine.aggregates().leaf().size());
+  r.skip(leaves * 16);  // (u64 key, u64 bytes) per leaf counter
+  EXPECT_TRUE(r.done()) << "bytes follow the leaf block";
+  // Smaller than the every-level version-2 frame of the same stream.
+  EXPECT_LT(frame.size(), fixture_bytes("v2_exact.snap").size());
+}
+
+TEST(WireCompat, V3TotalOtherThanTheLeafSumIsRejected) {
+  ExactEngine engine(Hierarchy::byte_granularity());
+  engine.add_batch(fixture_workload());
+  auto frame = wire::save_engine(engine);
+  const wire::FrameView view = wire::parse_frame(frame);
+  wire::Reader r(view.payload, view.version);
+  (void)wire::read_hierarchy(r);
+  std::uint8_t* total =
+      frame.data() + wire::kFrameHeaderBytes + view.payload.size() - r.remaining();
+  put_little_endian(total, little_endian_u64(total) + 1, 8);
+  reseal(frame);
+  expect_bad_value(frame);
 }
 
 TEST(WireCompat, UnknownVersionRejected) {

@@ -125,7 +125,7 @@ TEST(CompactV6Test, LegacyPerEntryBlocksStillDecode) {
   }
 
   LevelAggregatesV6 restored(Hierarchy::v6_byte_granularity());
-  wire::Reader r(legacy);
+  wire::Reader r(legacy, 2);  // every level, as version 2 carried them
   restored.load_state(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(restored.total_bytes(), agg.total_bytes());

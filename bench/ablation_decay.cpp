@@ -10,10 +10,10 @@
 // large ones blur distinct windows together (precision drops).
 #include <cstdio>
 
+#include "analysis/hidden_analysis.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
-#include "core/hidden_analysis.hpp"
 #include "core/tdbf_hhh.hpp"
 
 using namespace hhh;

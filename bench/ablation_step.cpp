@@ -6,9 +6,9 @@
 // the step shrinks and saturate near the burst timescale.
 #include <cstdio>
 
+#include "analysis/hidden_analysis.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
-#include "core/hidden_analysis.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;

@@ -16,9 +16,10 @@
 #include "analysis/churn.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
-#include "core/disjoint_window.hpp"
+#include "core/engine.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
+#include "pipeline/pipeline.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;
@@ -39,9 +40,21 @@ int main(int argc, char** argv) {
   ChurnAnalysis sliding_churn;
   ChurnAnalysis tdbf_churn;
 
-  DisjointWindowHhhDetector disjoint({.window = window, .phi = phi});
-  disjoint.set_on_report(
-      [&](const WindowReport& r) { disjoint_churn.add_report(r.hhhs.prefixes()); });
+  const TimePoint end = packets.back().ts;
+  {
+    pipeline::PipelineConfig config;
+    config.phi = phi;
+    config.finish_at = end;
+    config.metrics = false;
+    pipeline::Pipeline disjoint(
+        pipeline::make_span_source(packets),
+        pipeline::make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
+        pipeline::make_disjoint_policy(window), config);
+    disjoint.add_sink(pipeline::make_callback_sink(
+        [&](const WindowReport& r) { disjoint_churn.add_report(r.hhhs.prefixes()); }));
+    disjoint.run();
+  }
+
   SlidingWindowHhhDetector sliding({.window = window, .step = step, .phi = phi});
   sliding.set_on_report(
       [&](const WindowReport& r) { sliding_churn.add_report(r.hhhs.prefixes()); });
@@ -49,7 +62,6 @@ int main(int argc, char** argv) {
 
   TimePoint next_snapshot = TimePoint() + window;
   for (const auto& p : packets) {
-    disjoint.offer(p);
     sliding.offer(p);
     tdbf.offer(p);
     if (p.ts >= next_snapshot) {
@@ -57,8 +69,6 @@ int main(int argc, char** argv) {
       next_snapshot += step;
     }
   }
-  const TimePoint end = packets.back().ts;
-  disjoint.finish(end);
   sliding.finish(end);
   disjoint_churn.finish();
   sliding_churn.finish();

@@ -11,9 +11,9 @@
 // threshold and 18-24 % at 5 % across all window sizes; less at 10 %.
 #include <cstdio>
 
+#include "analysis/hidden_analysis.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
-#include "core/hidden_analysis.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;

@@ -10,9 +10,9 @@
 // This bench prints the per-delta CDF summary and those two probe points.
 #include <cstdio>
 
+#include "analysis/hidden_analysis.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
-#include "core/hidden_analysis.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;

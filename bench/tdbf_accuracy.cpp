@@ -15,15 +15,15 @@
 #include <cstdio>
 #include <memory>
 
+#include "analysis/hidden_analysis.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/table.hpp"
 #include "bench_common.hpp"
-#include "core/disjoint_window.hpp"
-#include "core/hidden_analysis.hpp"
+#include "core/engine.hpp"
 #include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
-#include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
+#include "pipeline/pipeline.hpp"
 
 using namespace hhh;
 using bench::BenchOptions;
@@ -62,26 +62,26 @@ int main(int argc, char** argv) {
     };
     std::vector<Row> rows;
 
-    // Disjoint + exact engine.
-    {
-      DisjointWindowHhhDetector det({.window = window, .phi = phi});
+    // Disjoint windows (the Fig. 1a practice): an engine behind the
+    // pipeline's disjoint policy, reset at every boundary.
+    const auto disjoint_row = [&](const char* name, std::unique_ptr<HhhEngine> engine) {
+      pipeline::PipelineConfig config;
+      config.phi = phi;
+      config.finish_at = packets.back().ts;
+      config.metrics = false;
+      pipeline::Pipeline pipe(pipeline::make_span_source(packets),
+                              pipeline::make_engine_stage(std::move(engine)),
+                              pipeline::make_disjoint_policy(window), config);
       PrefixUnion u;
-      det.set_on_report([&](const WindowReport& r) { u.add(r.hhhs.prefixes()); });
-      for (const auto& p : packets) det.offer(p);
-      det.finish(packets.back().ts);
-      rows.push_back({"disjoint+exact", u.values(), det.engine().memory_bytes()});
-    }
-    // Disjoint + RHHH engine (practical sketch, reset per window).
-    {
-      auto engine = std::make_unique<RhhhEngine>(
-          RhhhEngine::Params{.counters_per_level = 512, .seed = 0xACC0});
-      DisjointWindowHhhDetector det({.window = window, .phi = phi}, std::move(engine));
-      PrefixUnion u;
-      det.set_on_report([&](const WindowReport& r) { u.add(r.hhhs.prefixes()); });
-      for (const auto& p : packets) det.offer(p);
-      det.finish(packets.back().ts);
-      rows.push_back({"disjoint+rhhh", u.values(), det.engine().memory_bytes()});
-    }
+      pipe.add_sink(pipeline::make_callback_sink(
+          [&u](const WindowReport& r) { u.add(r.hhhs.prefixes()); }));
+      pipe.run();
+      rows.push_back({name, u.values(), pipe.stage().memory_bytes()});
+    };
+    disjoint_row("disjoint+exact", make_exact_engine(Hierarchy::byte_granularity()));
+    // RHHH: the practical sketch, reset per window.
+    disjoint_row("disjoint+rhhh", std::make_unique<RhhhEngine>(RhhhEngine::Params{
+                                      .counters_per_level = 512, .seed = 0xACC0}));
     // Memento sliding HHH (arXiv 1810.02899, the line of work of ref
     // [1]): sharp window semantics with bounded state, queried at every
     // step like the exact sliding ground truth.

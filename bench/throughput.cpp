@@ -36,7 +36,6 @@
 #include "dataplane/hashpipe.hpp"
 #include "dataplane/p4_tdbf.hpp"
 #include "pipeline/pipeline.hpp"
-#include "sketch/count_min.hpp"
 #include "sketch/memento.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
@@ -206,9 +205,8 @@ double pipeline_replay_pps(const std::vector<PacketRecord>& packets, bool metric
     pipeline::PipelineConfig cfg;
     cfg.batch_size = opt.batch_size;
     cfg.metrics = metrics;
-    // Construction (and the vector copy the source takes) stays outside
-    // the timed region, matching best_pps().
-    pipeline::Pipeline p(pipeline::make_vector_source(packets),
+    // Construction stays outside the timed region, matching best_pps().
+    pipeline::Pipeline p(pipeline::make_span_source(packets),
                          pipeline::make_engine_stage(
                              make_exact_engine(Hierarchy::byte_granularity())),
                          pipeline::make_disjoint_policy(Duration::seconds(1'000'000)),
@@ -323,7 +321,7 @@ SaturationResult measure_live_saturation(const std::vector<PacketRecord>& packet
     cfg.batch_size = opt.batch_size;
     cfg.phi = 0.05;
     pipeline::Pipeline p(
-        pipeline::make_vector_source(packets),
+        pipeline::make_span_source(packets),
         pipeline::make_engine_stage(
             make_sharded_exact_engine(Hierarchy::byte_granularity(), result.shards)),
         pipeline::make_disjoint_policy(Duration::from_seconds(result.window_s)), cfg);
@@ -756,19 +754,6 @@ void BM_ExactLevelAggregates(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ExactLevelAggregates);
-
-void BM_CountMin(benchmark::State& state) {
-  const auto& packets = stream();
-  CountMinSketch cm(CountMinParams{.width = 2048, .depth = 4,
-                                   .conservative = state.range(0) != 0});
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& p = packets[i++ % packets.size()];
-    cm.update(p.src().v4().bits(), p.ip_len);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CountMin)->Arg(0)->Arg(1)->ArgName("conservative");
 
 void BM_SpaceSaving(benchmark::State& state) {
   const auto& packets = stream();

@@ -142,7 +142,7 @@ void run_vantage_pipeline(std::vector<PacketRecord> traffic, const Hierarchy& hi
   config.phi = 1.0;                 // the snapshot, not the local report, matters
   config.flush_open_window = true;  // one epoch = one (partial) window = one frame
   pipeline::Pipeline pipe(
-      pipeline::make_vector_source(std::move(traffic)),
+      pipeline::make_span_source(traffic),
       pipeline::make_engine_stage(make_exact_engine(hierarchy)),
       pipeline::make_disjoint_policy(Duration::from_seconds(2 * kEpochSeconds)), config);
   pipe.add_sink(pipeline::make_snapshot_stream_sink(snap_path));

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "core/hidden_analysis.hpp"
+#include "analysis/hidden_analysis.hpp"
 #include "net/pcap.hpp"
 #include "pipeline/source.hpp"
 #include "trace/synthetic_trace.hpp"

@@ -8,7 +8,7 @@
 // Build & run:   ./build/examples/quickstart
 #include <cstdio>
 
-#include "core/hidden_analysis.hpp"
+#include "analysis/hidden_analysis.hpp"
 #include "trace/synthetic_trace.hpp"
 #include "util/strings.hpp"
 

@@ -35,7 +35,7 @@ Run run_pipeline(const std::vector<PacketRecord>& packets, std::size_t shards) {
   pipeline::PipelineConfig config;
   config.phi = 0.01;
   config.finish_at = packets.back().ts + Duration::seconds(1);
-  pipeline::Pipeline pipe(pipeline::make_vector_source(packets),
+  pipeline::Pipeline pipe(pipeline::make_span_source(packets),
                           pipeline::make_engine_stage(std::move(engine)),
                           pipeline::make_disjoint_policy(Duration::seconds(10)), config);
   auto& collect = pipe.add_sink(std::make_unique<pipeline::CollectSink>());

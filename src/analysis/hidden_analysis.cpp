@@ -1,18 +1,41 @@
-#include "core/hidden_analysis.hpp"
+#include "analysis/hidden_analysis.hpp"
 
 #include <algorithm>
 #include <deque>
-#include <memory>
+#include <functional>
 #include <stdexcept>
 
 #include "analysis/jaccard.hpp"
-#include "core/disjoint_window.hpp"
+#include "core/engine.hpp"
 #include "core/exact_hhh.hpp"
 #include "core/level_aggregates.hpp"
 #include "core/sliding_window.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/flat_hash_map.hpp"
 
 namespace hhh {
+
+namespace {
+
+/// The Fig. 1a model over a non-empty in-memory trace, run the way every
+/// vantage runs it: an exact engine behind the pipeline's disjoint policy,
+/// closing every window that ends by the last packet. Returns the number
+/// of windows closed.
+std::size_t run_disjoint(std::span<const PacketRecord> packets, Duration window, double phi,
+                         const Hierarchy& hierarchy,
+                         std::function<void(const WindowReport&)> on_report) {
+  pipeline::PipelineConfig config;
+  config.phi = phi;
+  config.finish_at = packets.back().ts;
+  config.metrics = false;
+  pipeline::Pipeline pipe(pipeline::make_span_source(packets),
+                          pipeline::make_engine_stage(make_exact_engine(hierarchy)),
+                          pipeline::make_disjoint_policy(window), config);
+  pipe.add_sink(pipeline::make_callback_sink(std::move(on_report)));
+  return pipe.run().windows_closed;
+}
+
+}  // namespace
 
 HiddenHhhResult analyze_hidden_hhh(std::span<const PacketRecord> packets,
                                    const HiddenHhhParams& params) {
@@ -20,30 +43,22 @@ HiddenHhhResult analyze_hidden_hhh(std::span<const PacketRecord> packets,
   result.params = params;
   if (packets.empty()) return result;
 
-  DisjointWindowHhhDetector disjoint(
-      {.window = params.window, .phi = params.phi, .hierarchy = params.hierarchy});
-  SlidingWindowHhhDetector sliding({.window = params.window,
-                                    .step = params.step,
-                                    .phi = params.phi,
-                                    .hierarchy = params.hierarchy});
-
   // Accumulate unions as reports close, so per-window HHH sets need not be
   // retained (there are thousands of sliding reports).
   PrefixUnion disjoint_union;
   PrefixUnion sliding_union;
-  disjoint.set_on_report(
-      [&](const WindowReport& r) { disjoint_union.add(r.hhhs.prefixes()); });
+  result.disjoint_windows =
+      run_disjoint(packets, params.window, params.phi, params.hierarchy,
+                   [&](const WindowReport& r) { disjoint_union.add(r.hhhs.prefixes()); });
+
+  SlidingWindowHhhDetector sliding({.window = params.window,
+                                    .step = params.step,
+                                    .phi = params.phi,
+                                    .hierarchy = params.hierarchy});
   sliding.set_on_report([&](const WindowReport& r) { sliding_union.add(r.hhhs.prefixes()); });
+  sliding.offer_batch(packets);
+  sliding.finish(packets.back().ts);
 
-  for (const auto& p : packets) {
-    disjoint.offer(p);
-    sliding.offer(p);
-  }
-  const TimePoint end = packets.back().ts;
-  disjoint.finish(end);
-  sliding.finish(end);
-
-  result.disjoint_windows = disjoint.reports().size();
   result.sliding_reports = sliding.reports().size();
   result.disjoint_prefixes = disjoint_union.values();
   result.sliding_prefixes = sliding_union.values();
@@ -181,7 +196,6 @@ WindowSimilarityResult analyze_window_similarity(std::span<const PacketRecord> p
   WindowSimilarityResult result;
   result.params = params;
   if (packets.empty()) return result;
-  const TimePoint end = packets.back().ts;
 
   for (const Duration delta : params.deltas) {
     if (delta.ns() <= 0 || delta >= params.baseline_window) {
@@ -189,30 +203,18 @@ WindowSimilarityResult analyze_window_similarity(std::span<const PacketRecord> p
     }
   }
 
-  // All tilings (baseline + every shrunk variant) run in ONE pass over the
-  // packets; each is an independent disjoint-window detector.
-  std::vector<std::unique_ptr<DisjointWindowHhhDetector>> detectors;
-  detectors.push_back(
-      std::make_unique<DisjointWindowHhhDetector>(DisjointWindowHhhDetector::Params{
-          .window = params.baseline_window, .phi = params.phi, .hierarchy = params.hierarchy}));
-  for (const Duration delta : params.deltas) {
-    detectors.push_back(
-        std::make_unique<DisjointWindowHhhDetector>(DisjointWindowHhhDetector::Params{
-            .window = params.baseline_window - delta,
-            .phi = params.phi,
-            .hierarchy = params.hierarchy}));
+  // One disjoint pipeline per tiling (baseline first, then every shrunk
+  // variant). Retain the prefix sets only; full HhhSets for thousands of
+  // windows would be wasteful.
+  std::vector<Duration> windows{params.baseline_window};
+  for (const Duration delta : params.deltas) windows.push_back(params.baseline_window - delta);
+  std::vector<std::vector<std::vector<PrefixKey>>> sets(windows.size());
+  for (std::size_t d = 0; d < windows.size(); ++d) {
+    run_disjoint(packets, windows[d], params.phi, params.hierarchy,
+                 [&tiling = sets[d]](const WindowReport& r) {
+                   tiling.push_back(r.hhhs.prefixes());
+                 });
   }
-  // Retain the prefix sets only; full HhhSets for thousands of windows
-  // would be wasteful.
-  std::vector<std::vector<std::vector<PrefixKey>>> sets(detectors.size());
-  for (std::size_t d = 0; d < detectors.size(); ++d) {
-    detectors[d]->set_on_report(
-        [&sets, d](const WindowReport& r) { sets[d].push_back(r.hhhs.prefixes()); });
-  }
-  for (const auto& p : packets) {
-    for (auto& det : detectors) det->offer(p);
-  }
-  for (auto& det : detectors) det->finish(end);
 
   const auto& baseline = sets[0];
   for (std::size_t di = 0; di < params.deltas.size(); ++di) {

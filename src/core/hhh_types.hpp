@@ -16,6 +16,7 @@
 #include "net/hierarchy.hpp"
 #include "net/ip.hpp"
 #include "net/prefix.hpp"
+#include "util/sim_time.hpp"
 
 namespace hhh {
 
@@ -95,5 +96,14 @@ class PrefixUnion {
 /// a \ b over sorted-unique prefix vectors.
 std::vector<PrefixKey> prefix_difference(const std::vector<PrefixKey>& a,
                                           const std::vector<PrefixKey>& b);
+
+/// One closed window's result: a disjoint window (pipeline disjoint
+/// policy) or a sliding step (SlidingWindowHhhDetector, sliding policy).
+struct WindowReport {
+  std::size_t index = 0;  ///< window ordinal (disjoint) / step ordinal (sliding)
+  TimePoint start;        ///< window covers [start, end)
+  TimePoint end;          ///< exclusive window end
+  HhhSet hhhs;            ///< the window's HHH set
+};
 
 }  // namespace hhh

@@ -132,9 +132,8 @@ class ShardedHhhEngine final : public HhhEngine {
   /// True when every replica is serializable. Sharded snapshots restore
   /// only into an identically-constructed engine (same factory, same
   /// shard count) — the factory itself cannot travel over the wire — so
-  /// the standalone snapshot loader rejects them; checkpoint/restore in
-  /// DisjointWindowHhhDetector reconstructs the engine first and then
-  /// calls load_state().
+  /// the standalone snapshot loader rejects them; a restore builds the
+  /// engine first and then calls load_state() (wire::load_engine_into).
   bool serializable() const override;
 
   /// Quiesce every worker, then write shard-count/partition params, the

@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "core/disjoint_window.hpp"
 #include "core/hhh_types.hpp"
 #include "core/level_aggregates.hpp"
 #include "net/packet.hpp"

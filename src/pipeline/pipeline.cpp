@@ -93,10 +93,9 @@ RunStats Pipeline::run() {
     const std::size_t n = source_->next_batch(buffer);
     if (n == 0) break;
     const std::span<const PacketRecord> batch(buffer.data(), n);
-    // The same segmentation the legacy disjoint detector's offer_batch
-    // used: close due windows, then hand the stage the maximal run of
-    // packets inside the open window — boundaries close in order and the
-    // stage's add_batch fast paths see the largest possible spans.
+    // Close due windows, then hand the stage the maximal run of packets
+    // inside the open window — boundaries close in order and the stage's
+    // add_batch fast paths see the largest possible spans.
     std::size_t i = 0;
     while (i < n) {
       if (!(running = close_windows_before(batch[i].ts))) break;

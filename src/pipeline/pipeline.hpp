@@ -12,11 +12,12 @@
 ///
 /// Clocks. The run is packet-clock by default: windows close when packet
 /// timestamps cross boundaries, so offline replays are deterministic and
-/// byte-identical to the legacy detectors (the conformance harness's
-/// pipeline axis pins this). With `wall_clock` the stream time reported
-/// by the source (e.g. a paced replay's wall-derived position) also
-/// advances the policy, so windows keep closing through quiet stretches —
-/// the live-operation mode hhh-live uses.
+/// byte-identical to a hand-written extract-and-reset loop over the same
+/// engine (the conformance harness's pipeline axis pins this against an
+/// oracle that does not use WindowPolicy). With `wall_clock` the stream
+/// time reported by the source (e.g. a paced replay's wall-derived
+/// position) also advances the policy, so windows keep closing through
+/// quiet stretches — the live-operation mode hhh-live uses.
 #pragma once
 
 #include <cstdint>
@@ -47,8 +48,8 @@ struct PipelineConfig {
   /// timestamps (live/paced operation).
   bool wall_clock = false;
   /// Close every window with a boundary at or before this instant once
-  /// the source is exhausted (the legacy detectors' finish()); unset
-  /// leaves the open window unreported.
+  /// the source is exhausted (offline analyses pass the last packet's
+  /// timestamp); unset leaves the open window unreported.
   std::optional<TimePoint> finish_at;
   /// At end of stream, also close the final partial window if any packets
   /// landed in it (a live vantage ships its last epoch too). Applied

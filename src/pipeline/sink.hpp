@@ -17,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "core/disjoint_window.hpp"
 #include "core/hhh_types.hpp"
 
 namespace hhh::pipeline {

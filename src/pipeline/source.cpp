@@ -1,5 +1,6 @@
 #include "pipeline/source.hpp"
 
+#include <algorithm>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -22,20 +23,26 @@ std::size_t PacketSource::next_batch(std::span<PacketRecord> out) {
 
 namespace {
 
-class VectorSource final : public PacketSource {
+class SpanSource final : public PacketSource {
  public:
-  explicit VectorSource(std::vector<PacketRecord> packets)
-      : packets_(std::move(packets)) {}
+  explicit SpanSource(std::span<const PacketRecord> packets) : packets_(packets) {}
 
   std::optional<PacketRecord> next() override {
     if (pos_ >= packets_.size()) return std::nullopt;
     return packets_[pos_++];
   }
 
-  std::string name() const override { return "vector"; }
+  std::size_t next_batch(std::span<PacketRecord> out) override {
+    const std::size_t n = std::min(out.size(), packets_.size() - pos_);
+    std::copy_n(packets_.begin() + static_cast<std::ptrdiff_t>(pos_), n, out.begin());
+    pos_ += n;
+    return n;
+  }
+
+  std::string name() const override { return "span"; }
 
  private:
-  std::vector<PacketRecord> packets_;
+  std::span<const PacketRecord> packets_;
   std::size_t pos_ = 0;
 };
 
@@ -214,8 +221,8 @@ PaceClock& steady_pace_clock() {
   return clock;
 }
 
-std::unique_ptr<PacketSource> make_vector_source(std::vector<PacketRecord> packets) {
-  return std::make_unique<VectorSource>(std::move(packets));
+std::unique_ptr<PacketSource> make_span_source(std::span<const PacketRecord> packets) {
+  return std::make_unique<SpanSource>(packets);
 }
 
 std::unique_ptr<PacketSource> make_synthetic_source(const TraceConfig& config) {

@@ -2,11 +2,11 @@
 /// PacketSource — the ingestion end of the pipeline runtime.
 ///
 /// Every packet producer in the library (the synthetic generator, the
-/// binary/CSV trace readers, the pcap decoder, in-memory vectors) adapts
+/// binary/CSV trace readers, the pcap decoder, in-memory spans) adapts
 /// to this one pull interface, so detectors, tools and examples stop
 /// hand-rolling their own read loops. Sources stream: none of them needs
-/// the trace in memory (the vector source is the explicit exception for
-/// tests), so multi-gigapacket replays run in constant space.
+/// the trace in memory (the span source borrows one the caller already
+/// holds), so multi-gigapacket replays run in constant space.
 ///
 /// Pacing is a decorator, not a source property: PacedSource wraps any
 /// inner source and delays delivery so packets arrive at a wall-clock
@@ -59,8 +59,12 @@ class PacketSource {
   virtual std::string name() const = 0;
 };
 
-/// In-memory source over a caller-provided vector (tests, small traces).
-std::unique_ptr<PacketSource> make_vector_source(std::vector<PacketRecord> packets);
+/// In-memory source over caller-owned packets (offline analyses, tests).
+/// Borrows: `packets` must outlive the source. next_batch() copies whole
+/// runs, so a pipeline over an in-memory trace pays no per-packet call.
+std::unique_ptr<PacketSource> make_span_source(std::span<const PacketRecord> packets);
+/// A temporary vector would dangle; keep the packets alive instead.
+std::unique_ptr<PacketSource> make_span_source(std::vector<PacketRecord>&& packets) = delete;
 
 /// The synthetic CAIDA-stand-in generator as a source (streams; the trace
 /// is never materialized).

@@ -7,9 +7,9 @@ namespace hhh::pipeline {
 namespace {
 
 /// Shared arithmetic for evenly spaced boundaries at multiples of `period`
-/// from t=0: boundary k is at (k+1)*period — exactly the cursor arithmetic
-/// DisjointWindowHhhDetector and SlidingWindowHhhDetector used before the
-/// runtime, so reports land on byte-identical instants.
+/// from t=0: boundary k is at (k+1)*period — the same step arithmetic
+/// SlidingWindowHhhDetector uses, so its step reports and the sliding
+/// policy's events land on identical instants.
 class PeriodicPolicy : public WindowPolicy {
  public:
   PeriodicPolicy(Duration period, std::size_t first_index)
@@ -24,9 +24,6 @@ class PeriodicPolicy : public WindowPolicy {
   }
 
   void advance() override { ++index_; }
-
-  std::size_t index() const noexcept override { return index_; }
-  void set_index(std::size_t index) override { index_ = index; }
 
  protected:
   Duration period_;

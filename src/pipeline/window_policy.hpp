@@ -5,22 +5,16 @@
 /// (Fig. 1a, extract + reset at every boundary), sliding windows (Fig. 1b,
 /// a report every step covering the trailing W) and windowless
 /// continuous-time queries (§3, a query cadence over decaying state).
-/// Before the pipeline runtime, each model's boundary bookkeeping was
-/// baked into its detector (DisjointWindowHhhDetector's window cursor,
-/// sliding-detector callers' ad-hoc query loops). A WindowPolicy
-/// extracts exactly that bookkeeping: it owns the report schedule — *when*
-/// a report is due, *what* interval it covers, and *whether* closing it
-/// resets the measurement state — while the MeasurementStage owns how the
-/// report is computed.
+/// A WindowPolicy owns the report schedule — *when* a report is due,
+/// *what* interval it covers, and *whether* closing it resets the
+/// measurement state — while the MeasurementStage owns how the report is
+/// computed. It is the one place the disjoint-window schedule lives: every
+/// Fig. 1a run (tools, vantages, the offline figure analyses) is a
+/// Pipeline over make_disjoint_policy.
 ///
 /// Policies are clock-agnostic: the pipeline advances them with packet
 /// timestamps (deterministic replay) or with a wall-clock-derived stream
 /// time (live/paced operation); the policy only sees TimePoints.
-///
-/// Layering: this header depends only on util/sim_time.hpp — it sits
-/// *below* both core/ (DisjointWindowHhhDetector runs on the disjoint
-/// policy) and the rest of pipeline/, and must stay that way: it is the
-/// one pipeline/ header core/ may include.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +40,7 @@ struct WindowEvent {
 /// boundaries plus the reset semantics of the window model.
 class WindowPolicy {
  public:
-  /// Policies are owned polymorphically by pipelines and detectors.
+  /// Policies are owned polymorphically by pipelines.
   virtual ~WindowPolicy() = default;
 
   /// The earliest pending report boundary. The pipeline closes the event
@@ -63,13 +57,6 @@ class WindowPolicy {
   /// window (the disjoint model's reset-at-boundary practice); false for
   /// sliding/decaying models whose state expires by time instead.
   virtual bool resets_state() const noexcept = 0;
-
-  /// Report ordinal of the next event (== number of events advanced past).
-  /// Checkpointable: restoring a detector mid-stream sets it back.
-  virtual std::size_t index() const noexcept = 0;
-
-  /// Jump the schedule cursor (checkpoint restore).
-  virtual void set_index(std::size_t index) = 0;
 
   /// Stable policy identifier ("disjoint", "sliding", "query_cadence").
   virtual std::string name() const = 0;

@@ -23,7 +23,7 @@ const char* to_string(SnapshotKind kind) noexcept {
     case SnapshotKind::kShardedEngine: return "sharded_engine";
     case SnapshotKind::kRetired6: return "retired_6";
     case SnapshotKind::kTdbfDetector: return "tdbf_detector";
-    case SnapshotKind::kDisjointWindow: return "disjoint_window";
+    case SnapshotKind::kRetired8: return "retired_8";
     case SnapshotKind::kStreamHello: return "stream_hello";
     case SnapshotKind::kEpochFrame: return "epoch_frame";
     case SnapshotKind::kStreamBye: return "stream_bye";

@@ -70,7 +70,9 @@ enum class SnapshotKind : std::uint16_t {
   kRetired6 = 6,        ///< retired (the removed WCSS sliding detector);
                         ///< parses, decodes to kUnsupportedEngine, never reused
   kTdbfDetector = 7,    ///< TimeDecayingHhhDetector checkpoint
-  kDisjointWindow = 8,  ///< DisjointWindowHhhDetector checkpoint
+  kRetired8 = 8,        ///< retired (the removed disjoint-window detector's
+                        ///< checkpoint); parses, decodes to kUnsupportedEngine,
+                        ///< never reused
   kStreamHello = 9,     ///< collector-service stream greeting (service/frame_stream.hpp)
   kEpochFrame = 10,     ///< epoch envelope: window span + one embedded frame
   kStreamBye = 11,      ///< clean end-of-stream marker (and the collector's ack)

@@ -10,10 +10,10 @@
 #include <set>
 #include <span>
 
-#include "core/disjoint_window.hpp"
 #include "core/engine.hpp"
 #include "harness/engine_registry.hpp"
 #include "harness/golden.hpp"
+#include "harness/pipeline_axis.hpp"
 #include "harness/trace_builder.hpp"
 #include "trace/synthetic_trace.hpp"
 
@@ -174,19 +174,20 @@ TEST_P(EngineConformance, AddBatchMatchesAddLoop) {
   }
 }
 
-TEST_P(EngineConformance, WorksInsideDisjointWindowDriver) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.5},
-                                conformance_engines()[GetParam()].make());
+TEST_P(EngineConformance, WorksInsideTheDisjointPipeline) {
+  std::vector<PacketRecord> packets;
   PacketRecord p;
   p.set_src(lone_source());
   p.ip_len = 1000;
   for (int t = 0; t < 4; ++t) {
     p.ts = TimePoint::from_seconds(t + 0.5);
-    det.offer(p);
+    packets.push_back(p);
   }
-  det.finish(TimePoint::from_seconds(4.0));
-  ASSERT_EQ(det.reports().size(), 4u);
-  for (const auto& r : det.reports()) {
+  const auto reports = harness::disjoint_pipeline_reports(
+      packets, Duration::seconds(1), 0.5, TimePoint::from_seconds(4.0),
+      conformance_engines()[GetParam()].make());
+  ASSERT_EQ(reports.size(), 4u);
+  for (const auto& r : reports) {
     EXPECT_EQ(r.hhhs.total_bytes, 1000u) << "window " << r.index;
     // Every engine must report the lone source at SOME level (the
     // randomized RHHH with a single packet per window only learns the one

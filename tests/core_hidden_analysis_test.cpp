@@ -1,4 +1,4 @@
-#include "core/hidden_analysis.hpp"
+#include "analysis/hidden_analysis.hpp"
 
 #include <gtest/gtest.h>
 

@@ -17,12 +17,12 @@
 #include <span>
 #include <stdexcept>
 
-#include "core/disjoint_window.hpp"
 #include "core/exact_engine.hpp"
 #include "core/rhhh.hpp"
 #include "core/sharded_engine.hpp"
 #include "core/univmon_hhh.hpp"
 #include "harness/golden.hpp"
+#include "harness/pipeline_axis.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trace_builder.hpp"
 #include "sketch/memento.hpp"
@@ -340,28 +340,26 @@ TEST(ShardedEngine, SourcePartitioningAlsoExact) {
   EXPECT_TRUE(harness::hhh_sets_equal(single.extract(0.02), sharded.extract(0.02)));
 }
 
-// --- sharded engine inside the window driver --------------------------------
+// --- sharded engine inside the disjoint pipeline ----------------------------
 
 TEST(ShardedEngine, DisjointWindowReportsMatchSingleThreadExact) {
-  // End-to-end wiring: the window driver closing windows (extract+reset)
-  // over a sharded exact engine must reproduce the single-thread reports
+  // End-to-end wiring: the pipeline closing windows (report + reset) over
+  // a sharded exact engine must reproduce the single-thread reports
   // window for window.
   const auto packets = harness::TraceBuilder(0x54A2'0007)
                            .compact_space()
                            .duration_seconds(8.0)
                            .all();
+  const TimePoint end = TimePoint::from_seconds(8.0);
+  const auto single =
+      harness::disjoint_pipeline_reports(packets, Duration::seconds(2), 0.05, end);
+  const auto sharded = harness::disjoint_pipeline_reports(
+      packets, Duration::seconds(2), 0.05, end,
+      make_sharded_exact_engine(Hierarchy::byte_granularity(), 4));
 
-  DisjointWindowHhhDetector single({.window = Duration::seconds(2), .phi = 0.05});
-  DisjointWindowHhhDetector sharded({.window = Duration::seconds(2), .phi = 0.05, .shards = 4});
-  single.offer_batch(packets);
-  sharded.offer_batch(packets);
-  single.finish(TimePoint::from_seconds(8.0));
-  sharded.finish(TimePoint::from_seconds(8.0));
-
-  ASSERT_EQ(single.reports().size(), sharded.reports().size());
-  for (std::size_t i = 0; i < single.reports().size(); ++i) {
-    EXPECT_TRUE(harness::hhh_sets_equal(single.reports()[i].hhhs, sharded.reports()[i].hhhs))
-        << "window " << i;
+  ASSERT_EQ(single.size(), sharded.size());
+  for (std::size_t i = 0; i < single.size(); ++i) {
+    EXPECT_TRUE(harness::hhh_sets_equal(single[i].hhhs, sharded[i].hhhs)) << "window " << i;
   }
 }
 

@@ -5,8 +5,8 @@
 
 #include <algorithm>
 
+#include "analysis/hidden_analysis.hpp"
 #include "core/exact_hhh.hpp"
-#include "core/hidden_analysis.hpp"
 #include "core/level_aggregates.hpp"
 #include "trace/synthetic_trace.hpp"
 #include "util/random.hpp"

@@ -1,7 +1,7 @@
 // Pipeline-equivalence conformance: every registry engine, run through
-// the streaming pipeline runtime, must report byte-identically to the
-// pre-refactor disjoint-window detector path. See
-// tests/harness/pipeline_axis.cpp for the contract.
+// the streaming pipeline runtime, must report byte-identically to a
+// hand-written extract-and-reset reference loop. See
+// tests/harness/pipeline_axis.hpp for the contract.
 #include <gtest/gtest.h>
 
 #include "harness/engine_registry.hpp"
@@ -14,7 +14,7 @@ using harness::conformance_engines;
 
 class PipelineAxis : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(PipelineAxis, PipelineReportsMatchDetectorByteForByte) {
+TEST_P(PipelineAxis, PipelineReportsMatchReferenceLoopByteForByte) {
   harness::run_pipeline_equivalence_case(conformance_engines()[GetParam()]);
 }
 

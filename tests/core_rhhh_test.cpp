@@ -4,9 +4,9 @@
 
 #include <algorithm>
 
-#include "core/disjoint_window.hpp"
 #include "core/exact_hhh.hpp"
 #include "core/level_aggregates.hpp"
+#include "harness/pipeline_axis.hpp"
 #include "trace/synthetic_trace.hpp"
 #include "util/random.hpp"
 
@@ -145,20 +145,20 @@ TEST(Rhhh, MemoryAndNameReported) {
 }
 
 TEST(Rhhh, WorksAsDisjointWindowEngine) {
-  // Plug the RHHH engine into the disjoint-window driver: windows close
-  // and reset without touching ground-truth state.
+  // Plug the RHHH engine into the disjoint pipeline: windows close and
+  // reset without touching ground-truth state.
   auto engine = std::make_unique<RhhhEngine>(
       RhhhEngine::Params{.counters_per_level = 256, .update_all_levels = true});
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.5},
-                                std::move(engine));
+  std::vector<PacketRecord> packets;
   PacketRecord p = pkt(ip("10.0.0.1"), 1000);
   for (int t = 0; t < 3; ++t) {
     p.ts = TimePoint::from_seconds(t + 0.5);
-    det.offer(p);
+    packets.push_back(p);
   }
-  det.finish(TimePoint::from_seconds(3.0));
-  ASSERT_EQ(det.reports().size(), 3u);
-  for (const auto& r : det.reports()) {
+  const auto reports = harness::disjoint_pipeline_reports(
+      packets, Duration::seconds(1), 0.5, TimePoint::from_seconds(3.0), std::move(engine));
+  ASSERT_EQ(reports.size(), 3u);
+  for (const auto& r : reports) {
     EXPECT_EQ(r.hhhs.total_bytes, 1000u) << "reset between windows failed";
     EXPECT_EQ(r.hhhs.prefixes(), std::vector<PrefixKey>{pfx("10.0.0.1/32")});
   }

@@ -22,11 +22,11 @@
 #include <memory>
 #include <vector>
 
-#include "core/disjoint_window.hpp"
 #include "core/engine.hpp"
 #include "core/rhhh.hpp"
 #include "core/sharded_engine.hpp"
 #include "harness/golden.hpp"
+#include "harness/pipeline_axis.hpp"
 #include "harness/trace_builder.hpp"
 
 namespace hhh {
@@ -217,10 +217,9 @@ TEST(ShardedWindowBoundary, StagedPacketsAttributeToTheClosingWindow) {
                            .duration_seconds(5.0)
                            .all();
   ASSERT_FALSE(packets.empty());
-
-  DisjointWindowHhhDetector::Params dp;
-  dp.window = Duration::seconds(1);
-  dp.phi = 0.05;
+  const Duration window = Duration::seconds(1);
+  const double phi = 0.05;
+  const TimePoint end = packets.back().ts;
 
   const auto make_staged_sharded = [] {
     ShardedHhhEngine::Params p;
@@ -231,25 +230,21 @@ TEST(ShardedWindowBoundary, StagedPacketsAttributeToTheClosingWindow) {
     });
   };
 
-  DisjointWindowHhhDetector reference(dp);  // single-thread exact engine
-  DisjointWindowHhhDetector offered(dp, make_staged_sharded());
-  DisjointWindowHhhDetector batched(dp, make_staged_sharded());
+  // Single-thread exact engine as the reference; the staged sharded
+  // engine read one packet at a time and in boundary-split 4096-packet
+  // batches.
+  const auto reference = harness::disjoint_pipeline_reports(packets, window, phi, end);
+  const auto offered = harness::disjoint_pipeline_reports(packets, window, phi, end,
+                                                          make_staged_sharded(), 1);
+  const auto batched = harness::disjoint_pipeline_reports(packets, window, phi, end,
+                                                          make_staged_sharded(), 4096);
 
-  for (const auto& p : packets) {
-    reference.offer(p);
-    offered.offer(p);  // per-packet staging path
-  }
-  batched.offer_batch(packets);  // boundary-splitting batch path
-  reference.finish(packets.back().ts);
-  offered.finish(packets.back().ts);
-  batched.finish(packets.back().ts);
-
-  ASSERT_GE(reference.reports().size(), 4u) << "stream must span several windows";
+  ASSERT_GE(reference.size(), 4u) << "stream must span several windows";
   for (const auto* candidate : {&offered, &batched}) {
-    const auto& actual = candidate->reports();
-    ASSERT_EQ(actual.size(), reference.reports().size());
+    const auto& actual = *candidate;
+    ASSERT_EQ(actual.size(), reference.size());
     for (std::size_t i = 0; i < actual.size(); ++i) {
-      const auto& expect = reference.reports()[i];
+      const auto& expect = reference[i];
       EXPECT_EQ(actual[i].index, expect.index) << "window " << i;
       EXPECT_EQ(actual[i].start, expect.start) << "window " << i;
       EXPECT_EQ(actual[i].end, expect.end) << "window " << i;

@@ -5,14 +5,15 @@
 // be airtight: empty windows still report, a packet exactly on a boundary
 // lands in the *next* window, phi = 1.0 is a legal threshold, a single
 // packet is a complete window — and ill-behaved timestamps (duplicates on
-// a boundary, out-of-order arrivals around one) must resolve identically
-// in the legacy detectors and the pipeline runtime.
+// a boundary, out-of-order arrivals around one) must resolve the same way
+// whatever the pipeline's batch size. The disjoint model (Fig. 1a) runs as
+// it does everywhere: an engine behind the pipeline's disjoint policy.
 #include <gtest/gtest.h>
 
-#include "core/disjoint_window.hpp"
-#include "core/exact_engine.hpp"
+#include "core/sharded_engine.hpp"
 #include "core/sliding_window.hpp"
 #include "harness/golden.hpp"
+#include "harness/pipeline_axis.hpp"
 #include "harness/trace_builder.hpp"
 #include "pipeline/pipeline.hpp"
 
@@ -23,74 +24,67 @@ using harness::packet_at;
 
 const Ipv4Address kSrc = Ipv4Address::of(10, 1, 2, 3);
 
-/// The same stream through the pipeline runtime's disjoint path, for
-/// pinning legacy-vs-runtime agreement on edge-case timestamps.
-std::vector<WindowReport> pipeline_reports(const std::vector<PacketRecord>& packets,
-                                           Duration window, double phi, TimePoint end) {
-  pipeline::PipelineConfig config;
-  config.phi = phi;
-  config.finish_at = end;
-  pipeline::Pipeline pipe(pipeline::make_vector_source(packets),
-                          pipeline::make_engine_stage(
-                              make_exact_engine(Hierarchy::byte_granularity())),
-                          pipeline::make_disjoint_policy(window), config);
-  auto& collect = pipe.add_sink(std::make_unique<pipeline::CollectSink>());
-  pipe.run();
-  return collect.reports();
+/// Exact-engine disjoint reports of `packets` through the pipeline.
+std::vector<WindowReport> pipeline_reports(std::span<const PacketRecord> packets,
+                                           Duration window, double phi, TimePoint end,
+                                           std::size_t batch_size = 4096) {
+  return harness::disjoint_pipeline_reports(packets, window, phi, end, nullptr, batch_size);
 }
 
-// --- DisjointWindowHhhDetector ----------------------------------------------
+// --- disjoint windows through the pipeline ----------------------------------
 
 TEST(DisjointWindowBoundary, EmptyWindowsStillReportEmptySets) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.05});
   // Traffic only in window 0 and window 3; 1 and 2 are silent.
-  det.offer(packet_at(0.5, kSrc, 100));
-  det.offer(packet_at(3.5, kSrc, 100));
-  det.finish(TimePoint::from_seconds(4.0));
-  ASSERT_EQ(det.reports().size(), 4u);
+  const std::vector<PacketRecord> packets = {packet_at(0.5, kSrc, 100),
+                                             packet_at(3.5, kSrc, 100)};
+  const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.05,
+                                        TimePoint::from_seconds(4.0));
+  ASSERT_EQ(reports.size(), 4u);
   for (const std::size_t quiet : {std::size_t{1}, std::size_t{2}}) {
-    const auto& r = det.reports()[quiet];
+    const auto& r = reports[quiet];
     EXPECT_EQ(r.index, quiet);
     EXPECT_TRUE(r.hhhs.empty()) << "window " << quiet;
     EXPECT_EQ(r.hhhs.total_bytes, 0u) << "window " << quiet;
   }
-  EXPECT_FALSE(det.reports()[0].hhhs.empty());
-  EXPECT_FALSE(det.reports()[3].hhhs.empty());
+  EXPECT_FALSE(reports[0].hhhs.empty());
+  EXPECT_FALSE(reports[3].hhhs.empty());
 }
 
 TEST(DisjointWindowBoundary, ExtractOnFreshEngineIsEmpty) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.05});
-  det.finish(TimePoint::from_seconds(0.0));  // nothing elapsed, nothing offered
-  EXPECT_TRUE(det.reports().empty());
-  EXPECT_TRUE(det.engine().extract(0.05).empty());
-  EXPECT_EQ(det.engine().total_bytes(), 0u);
+  // Nothing elapsed, nothing offered: no window closes, and the engine
+  // the stage starts from extracts nothing.
+  EXPECT_TRUE(pipeline_reports({}, Duration::seconds(1), 0.05, TimePoint::from_seconds(0.0))
+                  .empty());
+  const auto engine = make_exact_engine(Hierarchy::byte_granularity());
+  EXPECT_TRUE(engine->extract(0.05).empty());
+  EXPECT_EQ(engine->total_bytes(), 0u);
 }
 
 TEST(DisjointWindowBoundary, PacketExactlyOnBoundaryOpensNextWindow) {
   // Windows cover [kW, (k+1)W): a packet at t = W belongs to window 1 and
   // its arrival closes (and resets) window 0.
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.5});
-  det.offer(packet_at(0.25, kSrc, 700));
-  det.offer(packet_at(1.0, kSrc, 300));  // exactly on the boundary
-  det.finish(TimePoint::from_seconds(2.0));
-  ASSERT_EQ(det.reports().size(), 2u);
-  EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 700u);
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 300u);
-  EXPECT_EQ(det.reports()[0].end, det.reports()[1].start);
+  const std::vector<PacketRecord> packets = {packet_at(0.25, kSrc, 700),
+                                             packet_at(1.0, kSrc, 300)};  // on the boundary
+  const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.5,
+                                        TimePoint::from_seconds(2.0));
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].hhhs.total_bytes, 700u);
+  EXPECT_EQ(reports[1].hhhs.total_bytes, 300u);
+  EXPECT_EQ(reports[0].end, reports[1].start);
 }
 
 TEST(DisjointWindowBoundary, ResetAtBoundaryForgetsPriorWindow) {
   // 900 bytes in window 0 + 100 in window 1: if the boundary reset leaked
   // state, window 1's lone source would clear phi=0.5 of 1000 bytes.
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.5});
-  det.offer(packet_at(0.1, kSrc, 900));
-  det.offer(packet_at(1.1, Ipv4Address::of(192, 168, 0, 1), 100));
-  det.finish(TimePoint::from_seconds(2.0));
-  ASSERT_EQ(det.reports().size(), 2u);
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 100u);
-  EXPECT_EQ(det.reports()[1].hhhs.threshold_bytes, 50u);
+  const std::vector<PacketRecord> packets = {
+      packet_at(0.1, kSrc, 900), packet_at(1.1, Ipv4Address::of(192, 168, 0, 1), 100)};
+  const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.5,
+                                        TimePoint::from_seconds(2.0));
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[1].hhhs.total_bytes, 100u);
+  EXPECT_EQ(reports[1].hhhs.threshold_bytes, 50u);
   // The window-1 report must be about 192.168.0.1 only.
-  for (const auto& item : det.reports()[1].hhhs.items()) {
+  for (const auto& item : reports[1].hhhs.items()) {
     EXPECT_TRUE(item.prefix.contains(Ipv4Address::of(192, 168, 0, 1)))
         << item.prefix.to_string();
     EXPECT_LE(item.total_bytes, 100u);
@@ -98,11 +92,11 @@ TEST(DisjointWindowBoundary, ResetAtBoundaryForgetsPriorWindow) {
 }
 
 TEST(DisjointWindowBoundary, SinglePacketWindowReportsWholeAncestry) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 1.0});
-  det.offer(packet_at(0.5, kSrc, 42));
-  det.finish(TimePoint::from_seconds(1.0));
-  ASSERT_EQ(det.reports().size(), 1u);
-  const auto& set = det.reports()[0].hhhs;
+  const std::vector<PacketRecord> packets = {packet_at(0.5, kSrc, 42)};
+  const auto reports = pipeline_reports(packets, Duration::seconds(1), 1.0,
+                                        TimePoint::from_seconds(1.0));
+  ASSERT_EQ(reports.size(), 1u);
+  const auto& set = reports[0].hhhs;
   EXPECT_EQ(set.total_bytes, 42u);
   // With one packet, exactly the packet's leaf is an HHH (its ancestors'
   // conditioned counts are discounted to zero by the leaf).
@@ -112,12 +106,13 @@ TEST(DisjointWindowBoundary, SinglePacketWindowReportsWholeAncestry) {
 
 TEST(DisjointWindowBoundary, PhiOfOneRequiresTheWholeWindowVolume) {
   // phi = 1.0 -> T = total: only a prefix carrying EVERY byte qualifies.
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 1.0});
-  det.offer(packet_at(0.2, Ipv4Address::of(10, 0, 0, 1), 500));
-  det.offer(packet_at(0.4, Ipv4Address::of(10, 0, 0, 2), 500));
-  det.finish(TimePoint::from_seconds(1.0));
-  ASSERT_EQ(det.reports().size(), 1u);
-  const auto& set = det.reports()[0].hhhs;
+  const std::vector<PacketRecord> packets = {
+      packet_at(0.2, Ipv4Address::of(10, 0, 0, 1), 500),
+      packet_at(0.4, Ipv4Address::of(10, 0, 0, 2), 500)};
+  const auto reports = pipeline_reports(packets, Duration::seconds(1), 1.0,
+                                        TimePoint::from_seconds(1.0));
+  ASSERT_EQ(reports.size(), 1u);
+  const auto& set = reports[0].hhhs;
   EXPECT_EQ(set.threshold_bytes, 1000u);
   // Neither host qualifies alone; the /24 (and nothing below it) does.
   EXPECT_TRUE(harness::hhh_set_covers(set, {*Ipv4Prefix::parse("10.0.0.0/24")}));
@@ -127,107 +122,93 @@ TEST(DisjointWindowBoundary, PhiOfOneRequiresTheWholeWindowVolume) {
 }
 
 TEST(DisjointWindowBoundary, RejectsInvalidParams) {
-  EXPECT_THROW(DisjointWindowHhhDetector({.window = Duration::seconds(0)}),
-               std::invalid_argument);
-  EXPECT_THROW(DisjointWindowHhhDetector({.window = Duration::seconds(1), .phi = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(DisjointWindowHhhDetector({.window = Duration::seconds(1), .phi = 1.5}),
-               std::invalid_argument);
+  const TimePoint end = TimePoint::from_seconds(1.0);
+  EXPECT_THROW(pipeline::make_disjoint_policy(Duration::seconds(0)), std::invalid_argument);
+  EXPECT_THROW(pipeline_reports({}, Duration::seconds(1), 0.0, end), std::invalid_argument);
+  EXPECT_THROW(pipeline_reports({}, Duration::seconds(1), 1.5, end), std::invalid_argument);
   // phi = 1.0 is the inclusive upper edge and must be accepted.
-  EXPECT_NO_THROW(DisjointWindowHhhDetector({.window = Duration::seconds(1), .phi = 1.0}));
+  EXPECT_NO_THROW(pipeline_reports({}, Duration::seconds(1), 1.0, end));
 }
 
-TEST(DisjointWindowBoundary, OfferBatchMatchesOfferLoop) {
-  // Batched driver ingestion must close the same windows with the same
-  // exact HHH sets as per-packet offer(), including when a batch spans
-  // several window boundaries and when a packet sits exactly on one.
+TEST(DisjointWindowBoundary, BatchSizeDoesNotChangeReports) {
+  // Per-packet reads (batch_size 1) and 4096-packet reads must close the
+  // same windows with the same exact HHH sets, including when a read
+  // spans several window boundaries and when a packet sits exactly on one
+  // — for the exact engine and for a sharded exact front-end, whose
+  // worker threads must have ingested a window's packets by its close.
   auto packets =
       harness::TraceBuilder(0x0FF3).compact_space().duration_seconds(5.0).packets(8000);
   packets.push_back(packet_at(5.0, kSrc, 1234));  // exactly on a boundary
-  DisjointWindowHhhDetector loop({.window = Duration::seconds(1), .phi = 0.02});
-  for (const auto& p : packets) loop.offer(p);
-  DisjointWindowHhhDetector batched({.window = Duration::seconds(1), .phi = 0.02});
-  batched.offer_batch(packets);
   const TimePoint end = TimePoint::from_seconds(6.0);
-  loop.finish(end);
-  batched.finish(end);
-  ASSERT_EQ(loop.reports().size(), batched.reports().size());
-  for (std::size_t i = 0; i < loop.reports().size(); ++i) {
-    EXPECT_EQ(loop.reports()[i].index, batched.reports()[i].index);
-    EXPECT_TRUE(harness::hhh_sets_equal(loop.reports()[i].hhhs, batched.reports()[i].hhhs))
-        << "window " << i;
+  const auto single = pipeline_reports(packets, Duration::seconds(1), 0.02, end, 1);
+  for (const bool sharded : {false, true}) {
+    for (const std::size_t batch_size : {std::size_t{1}, std::size_t{4096}}) {
+      auto engine = sharded ? make_sharded_exact_engine(Hierarchy::byte_granularity(), 4)
+                            : make_exact_engine(Hierarchy::byte_granularity());
+      const auto actual = harness::disjoint_pipeline_reports(
+          packets, Duration::seconds(1), 0.02, end, std::move(engine), batch_size);
+      ASSERT_EQ(actual.size(), single.size());
+      for (std::size_t i = 0; i < single.size(); ++i) {
+        EXPECT_EQ(actual[i].index, single[i].index);
+        EXPECT_TRUE(harness::hhh_sets_equal(actual[i].hhhs, single[i].hhhs))
+            << "window " << i << " sharded=" << sharded << " batch_size=" << batch_size;
+      }
+    }
   }
 }
 
-TEST(DisjointWindowBoundary, OfferBatchReportsIntermediateEmptyWindows) {
-  // One batch whose packets skip two whole windows: the quiet windows
+TEST(DisjointWindowBoundary, OneBatchReportsIntermediateEmptyWindows) {
+  // One read whose packets skip two whole windows: the quiet windows
   // must still be closed and reported, in order, from inside the batch.
   const std::vector<PacketRecord> packets = {packet_at(0.5, kSrc, 100),
                                              packet_at(3.5, kSrc, 200)};
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.5});
-  det.offer_batch(packets);
-  det.finish(TimePoint::from_seconds(4.0));
-  ASSERT_EQ(det.reports().size(), 4u);
-  EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 100u);
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 0u);
-  EXPECT_EQ(det.reports()[2].hhhs.total_bytes, 0u);
-  EXPECT_EQ(det.reports()[3].hhhs.total_bytes, 200u);
+  const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.5,
+                                        TimePoint::from_seconds(4.0));
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_EQ(reports[0].hhhs.total_bytes, 100u);
+  EXPECT_EQ(reports[1].hhhs.total_bytes, 0u);
+  EXPECT_EQ(reports[2].hhhs.total_bytes, 0u);
+  EXPECT_EQ(reports[3].hhhs.total_bytes, 200u);
 }
 
 // --- ill-behaved timestamps at boundaries -----------------------------------
 
 TEST(DisjointWindowBoundary, DuplicateTimestampsOnTheBoundaryAllOpenNextWindow) {
   // Several packets carrying the exact boundary timestamp: every one of
-  // them belongs to the next window ([W, 2W) is half-open), through both
-  // the offer loop and the batch path.
+  // them belongs to the next window ([W, 2W) is half-open), read one at a
+  // time or all in one batch.
   const std::vector<PacketRecord> packets = {
       packet_at(0.5, kSrc, 100),
       packet_at(1.0, kSrc, 200),
       packet_at(1.0, Ipv4Address::of(10, 9, 9, 9), 300),
       packet_at(1.0, kSrc, 400),
   };
-  for (const bool batched : {false, true}) {
-    DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.5});
-    if (batched) {
-      det.offer_batch(packets);
-    } else {
-      for (const auto& p : packets) det.offer(p);
-    }
-    det.finish(TimePoint::from_seconds(2.0));
-    ASSERT_EQ(det.reports().size(), 2u) << "batched=" << batched;
-    EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 100u) << "batched=" << batched;
-    EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 900u) << "batched=" << batched;
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{4096}}) {
+    const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.5,
+                                          TimePoint::from_seconds(2.0), batch_size);
+    ASSERT_EQ(reports.size(), 2u) << "batch_size=" << batch_size;
+    EXPECT_EQ(reports[0].hhhs.total_bytes, 100u) << "batch_size=" << batch_size;
+    EXPECT_EQ(reports[1].hhhs.total_bytes, 900u) << "batch_size=" << batch_size;
   }
-  // And identically through the pipeline runtime.
-  const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.5,
-                                        TimePoint::from_seconds(2.0));
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[0].hhhs.total_bytes, 100u);
-  EXPECT_EQ(reports[1].hhhs.total_bytes, 900u);
 }
 
 TEST(DisjointWindowBoundary, OutOfOrderPacketLandsInTheOpenWindowNotItsOwn) {
   // A straggler whose timestamp points into the already-closed window 0
   // arrives after window 1 opened: it is accounted in the OPEN window
-  // (closed reports are immutable), identically in detector and pipeline.
+  // (closed reports are immutable), whatever the batch size.
   const std::vector<PacketRecord> packets = {
       packet_at(0.5, kSrc, 100),
       packet_at(1.2, kSrc, 200),
       packet_at(0.9, Ipv4Address::of(10, 9, 9, 9), 300),  // late straggler
       packet_at(1.4, kSrc, 400),
   };
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.5});
-  for (const auto& p : packets) det.offer(p);
-  det.finish(TimePoint::from_seconds(2.0));
-  ASSERT_EQ(det.reports().size(), 2u);
-  EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 100u);  // window 0 stays closed
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 900u);  // straggler counted here
-
-  const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.5,
-                                        TimePoint::from_seconds(2.0));
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_EQ(reports[0].hhhs.total_bytes, det.reports()[0].hhhs.total_bytes);
-  EXPECT_EQ(reports[1].hhhs.total_bytes, det.reports()[1].hhhs.total_bytes);
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{4096}}) {
+    const auto reports = pipeline_reports(packets, Duration::seconds(1), 0.5,
+                                          TimePoint::from_seconds(2.0), batch_size);
+    ASSERT_EQ(reports.size(), 2u) << "batch_size=" << batch_size;
+    EXPECT_EQ(reports[0].hhhs.total_bytes, 100u) << "window 0 stays closed";
+    EXPECT_EQ(reports[1].hhhs.total_bytes, 900u) << "straggler counted here";
+  }
 }
 
 TEST(DisjointWindowBoundary, OutOfOrderWithinTheOpenWindowIsOrderInsensitive) {
@@ -239,15 +220,12 @@ TEST(DisjointWindowBoundary, OutOfOrderWithinTheOpenWindowIsOrderInsensitive) {
       packet_at(0.7, kSrc, 300),
   };
   const std::vector<PacketRecord> shuffled = {ordered[2], ordered[0], ordered[1]};
-  DisjointWindowHhhDetector a({.window = Duration::seconds(1), .phi = 0.2});
-  DisjointWindowHhhDetector b({.window = Duration::seconds(1), .phi = 0.2});
-  for (const auto& p : ordered) a.offer(p);
-  for (const auto& p : shuffled) b.offer(p);
-  a.finish(TimePoint::from_seconds(1.0));
-  b.finish(TimePoint::from_seconds(1.0));
-  ASSERT_EQ(a.reports().size(), 1u);
-  ASSERT_EQ(b.reports().size(), 1u);
-  EXPECT_TRUE(harness::hhh_sets_equal(a.reports()[0].hhhs, b.reports()[0].hhhs));
+  const TimePoint end = TimePoint::from_seconds(1.0);
+  const auto a = pipeline_reports(ordered, Duration::seconds(1), 0.2, end, 1);
+  const auto b = pipeline_reports(shuffled, Duration::seconds(1), 0.2, end, 1);
+  ASSERT_EQ(a.size(), 1u);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_TRUE(harness::hhh_sets_equal(a[0].hhhs, b[0].hhhs));
 }
 
 TEST(SlidingWindowBoundary, DuplicateTimestampsOnAStepBoundary) {
@@ -335,21 +313,16 @@ TEST(SlidingWindowBoundary, FirstFullWindowMatchesDisjointFirstWindow) {
   // tiling; both must produce identical exact HHH sets per window.
   const auto packets =
       harness::TraceBuilder(0x81D6E).compact_space().duration_seconds(4.0).packets(6000);
-  DisjointWindowHhhDetector disjoint({.window = Duration::seconds(1), .phi = 0.02});
   SlidingWindowHhhDetector sliding({.window = Duration::seconds(1),
                                     .step = Duration::seconds(1),
                                     .phi = 0.02});
-  for (const auto& p : packets) {
-    disjoint.offer(p);
-    sliding.offer(p);
-  }
+  for (const auto& p : packets) sliding.offer(p);
   const TimePoint end = TimePoint::from_seconds(4.0);
-  disjoint.finish(end);
   sliding.finish(end);
-  ASSERT_EQ(disjoint.reports().size(), sliding.reports().size());
-  for (std::size_t i = 0; i < disjoint.reports().size(); ++i) {
-    EXPECT_TRUE(
-        harness::hhh_sets_equal(disjoint.reports()[i].hhhs, sliding.reports()[i].hhhs))
+  const auto disjoint = pipeline_reports(packets, Duration::seconds(1), 0.02, end);
+  ASSERT_EQ(disjoint.size(), sliding.reports().size());
+  for (std::size_t i = 0; i < disjoint.size(); ++i) {
+    EXPECT_TRUE(harness::hhh_sets_equal(disjoint[i].hhhs, sliding.reports()[i].hhhs))
         << "window " << i;
   }
 }

@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/disjoint_window.hpp"
 #include "core/exact_hhh.hpp"
 #include "core/sliding_window.hpp"
+#include "harness/pipeline_axis.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/random.hpp"
 
 namespace hhh {
@@ -22,16 +23,22 @@ PacketRecord pkt(double t_seconds, Ipv4Address src, std::uint32_t bytes) {
   return p;
 }
 
-// --- Disjoint windows --------------------------------------------------------
+// --- Disjoint windows (the pipeline's disjoint policy) ----------------------
+
+std::vector<WindowReport> disjoint_reports(const std::vector<PacketRecord>& packets,
+                                           Duration window, double phi, TimePoint end) {
+  return harness::disjoint_pipeline_reports(packets, window, phi, end);
+}
 
 TEST(DisjointWindow, ClosesWindowsOnTimeBoundaries) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(10), .phi = 0.5});
-  det.offer(pkt(1.0, ip("10.0.0.1"), 100));
-  det.offer(pkt(9.0, ip("10.0.0.1"), 100));
-  EXPECT_TRUE(det.reports().empty()) << "window 0 still open";
-  det.offer(pkt(11.0, ip("20.0.0.1"), 100));
-  ASSERT_EQ(det.reports().size(), 1u);
-  const auto& r = det.reports()[0];
+  std::vector<PacketRecord> packets = {pkt(1.0, ip("10.0.0.1"), 100),
+                                       pkt(9.0, ip("10.0.0.1"), 100)};
+  EXPECT_TRUE(disjoint_reports(packets, Duration::seconds(10), 0.5, packets.back().ts).empty())
+      << "window 0 still open";
+  packets.push_back(pkt(11.0, ip("20.0.0.1"), 100));
+  const auto reports = disjoint_reports(packets, Duration::seconds(10), 0.5, packets.back().ts);
+  ASSERT_EQ(reports.size(), 1u);
+  const auto& r = reports[0];
   EXPECT_EQ(r.index, 0u);
   EXPECT_DOUBLE_EQ(r.start.to_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(r.end.to_seconds(), 10.0);
@@ -39,56 +46,67 @@ TEST(DisjointWindow, ClosesWindowsOnTimeBoundaries) {
 }
 
 TEST(DisjointWindow, EngineResetsBetweenWindows) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(10), .phi = 0.9});
-  det.offer(pkt(1.0, ip("10.0.0.1"), 1000));
-  det.offer(pkt(11.0, ip("20.0.0.1"), 10));
-  det.finish(TimePoint::from_seconds(20.0));
-  ASSERT_EQ(det.reports().size(), 2u);
+  const std::vector<PacketRecord> packets = {pkt(1.0, ip("10.0.0.1"), 1000),
+                                             pkt(11.0, ip("20.0.0.1"), 10)};
+  const auto reports =
+      disjoint_reports(packets, Duration::seconds(10), 0.9, TimePoint::from_seconds(20.0));
+  ASSERT_EQ(reports.size(), 2u);
   // Window 1 total must not include window 0 traffic.
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 10u);
-  const auto p1 = det.reports()[1].hhhs.prefixes();
+  EXPECT_EQ(reports[1].hhhs.total_bytes, 10u);
+  const auto p1 = reports[1].hhhs.prefixes();
   EXPECT_TRUE(std::binary_search(p1.begin(), p1.end(), pfx("20.0.0.1/32")));
   EXPECT_FALSE(std::binary_search(p1.begin(), p1.end(), pfx("10.0.0.1/32")));
 }
 
 TEST(DisjointWindow, EmptyWindowsAreReported) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(5), .phi = 0.1});
-  det.offer(pkt(1.0, ip("10.0.0.1"), 100));
-  det.offer(pkt(17.0, ip("10.0.0.1"), 100));  // windows 1, 2 elapsed empty
-  det.finish(TimePoint::from_seconds(20.0));
-  ASSERT_EQ(det.reports().size(), 4u);
-  EXPECT_FALSE(det.reports()[0].hhhs.empty());
-  EXPECT_TRUE(det.reports()[1].hhhs.empty());
-  EXPECT_TRUE(det.reports()[2].hhhs.empty());
-  EXPECT_FALSE(det.reports()[3].hhhs.empty());
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(det.reports()[i].index, i);
+  const std::vector<PacketRecord> packets = {
+      pkt(1.0, ip("10.0.0.1"), 100),
+      pkt(17.0, ip("10.0.0.1"), 100)};  // windows 1, 2 elapse empty
+  const auto reports =
+      disjoint_reports(packets, Duration::seconds(5), 0.1, TimePoint::from_seconds(20.0));
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_FALSE(reports[0].hhhs.empty());
+  EXPECT_TRUE(reports[1].hhhs.empty());
+  EXPECT_TRUE(reports[2].hhhs.empty());
+  EXPECT_FALSE(reports[3].hhhs.empty());
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(reports[i].index, i);
 }
 
 TEST(DisjointWindow, FinishClosesOnlyElapsedWindows) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(10), .phi = 0.1});
-  det.offer(pkt(1.0, ip("10.0.0.1"), 100));
-  det.finish(TimePoint::from_seconds(9.0));
-  EXPECT_TRUE(det.reports().empty()) << "window not complete at t=9";
-  det.finish(TimePoint::from_seconds(10.0));
-  EXPECT_EQ(det.reports().size(), 1u);
+  const std::vector<PacketRecord> packets = {pkt(1.0, ip("10.0.0.1"), 100)};
+  EXPECT_TRUE(
+      disjoint_reports(packets, Duration::seconds(10), 0.1, TimePoint::from_seconds(9.0))
+          .empty())
+      << "window not complete at t=9";
+  EXPECT_EQ(
+      disjoint_reports(packets, Duration::seconds(10), 0.1, TimePoint::from_seconds(10.0))
+          .size(),
+      1u);
 }
 
 TEST(DisjointWindow, CallbackFiresPerWindow) {
-  DisjointWindowHhhDetector det({.window = Duration::seconds(1), .phi = 0.1});
+  std::vector<PacketRecord> packets;
+  for (int t = 0; t < 5; ++t) packets.push_back(pkt(t + 0.5, ip("10.0.0.1"), 10));
+  pipeline::PipelineConfig config;
+  config.phi = 0.1;
+  config.finish_at = TimePoint::from_seconds(5.0);
+  config.metrics = false;
+  pipeline::Pipeline pipe(pipeline::make_span_source(packets),
+                          pipeline::make_engine_stage(
+                              make_exact_engine(Hierarchy::byte_granularity())),
+                          pipeline::make_disjoint_policy(Duration::seconds(1)), config);
   std::vector<std::size_t> seen;
-  det.set_on_report([&](const WindowReport& r) { seen.push_back(r.index); });
-  for (int t = 0; t < 5; ++t) det.offer(pkt(t + 0.5, ip("10.0.0.1"), 10));
-  det.finish(TimePoint::from_seconds(5.0));
+  pipe.add_sink(
+      pipeline::make_callback_sink([&](const WindowReport& r) { seen.push_back(r.index); }));
+  pipe.run();
   EXPECT_EQ(seen, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(DisjointWindow, RejectsBadParams) {
-  EXPECT_THROW(DisjointWindowHhhDetector({.window = Duration::seconds(0), .phi = 0.1}),
-               std::invalid_argument);
-  EXPECT_THROW(DisjointWindowHhhDetector({.window = Duration::seconds(1), .phi = 0.0}),
-               std::invalid_argument);
-  EXPECT_THROW(DisjointWindowHhhDetector({.window = Duration::seconds(1), .phi = 1.5}),
-               std::invalid_argument);
+  const TimePoint end = TimePoint::from_seconds(1.0);
+  EXPECT_THROW(pipeline::make_disjoint_policy(Duration::seconds(0)), std::invalid_argument);
+  EXPECT_THROW(disjoint_reports({}, Duration::seconds(1), 0.0, end), std::invalid_argument);
+  EXPECT_THROW(disjoint_reports({}, Duration::seconds(1), 1.5, end), std::invalid_argument);
 }
 
 // --- Sliding window ----------------------------------------------------------
@@ -200,18 +218,15 @@ TEST(WindowModels, DisjointIsSubsetOfSlidingPositions) {
     packets.push_back(pkt(t, src, 64 + static_cast<std::uint32_t>(rng.below(1400))));
   }
   const Duration W = Duration::seconds(5);
-  DisjointWindowHhhDetector disjoint({.window = W, .phi = 0.05});
   SlidingWindowHhhDetector sliding(
       {.window = W, .step = Duration::seconds(1), .phi = 0.05});
-  for (const auto& p : packets) {
-    disjoint.offer(p);
-    sliding.offer(p);
-  }
-  disjoint.finish(TimePoint::from_seconds(40.0));
+  for (const auto& p : packets) sliding.offer(p);
   sliding.finish(TimePoint::from_seconds(40.0));
 
   PrefixUnion disjoint_union;
-  for (const auto& r : disjoint.reports()) disjoint_union.add(r.hhhs.prefixes());
+  for (const auto& r : disjoint_reports(packets, W, 0.05, TimePoint::from_seconds(40.0))) {
+    disjoint_union.add(r.hhhs.prefixes());
+  }
   PrefixUnion sliding_union;
   for (const auto& r : sliding.reports()) sliding_union.add(r.hhhs.prefixes());
 

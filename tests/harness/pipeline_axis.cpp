@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "core/disjoint_window.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "pipeline/pipeline.hpp"
@@ -28,36 +28,38 @@ std::vector<PacketRecord> workload(const EngineCase& engine_case, std::uint64_t 
   return TraceBuilder(seed).compact_space().v6_fraction(engine_case.v6_fraction).packets(n);
 }
 
-/// The legacy path: the detector fed through offer_batch with the same
-/// chunking the pipeline's source uses, so randomized engines consume
-/// their RNG identically on both sides.
-std::vector<WindowReport> run_detector(const EngineCase& engine_case,
-                                       const std::vector<PacketRecord>& packets,
-                                       TimePoint end) {
-  DisjointWindowHhhDetector detector(
-      {.window = kWindow, .phi = kPhi, .hierarchy = engine_case.hierarchy},
-      engine_case.make());
-  const std::span<const PacketRecord> all(packets);
-  for (std::size_t i = 0; i < all.size(); i += kBatch) {
-    detector.offer_batch(all.subspan(i, std::min(kBatch, all.size() - i)));
+/// The reference: one engine driven by hand, without WindowPolicy.
+std::vector<WindowReport> run_reference(const EngineCase& engine_case,
+                                        std::span<const PacketRecord> packets,
+                                        TimePoint end) {
+  const auto window_of = [](TimePoint t) { return t.ns() / kWindow.ns(); };
+  auto engine = engine_case.make();
+  std::vector<WindowReport> reports;
+  std::int64_t open = 0;  // the window currently accumulating
+  const auto close_before = [&](std::int64_t k) {
+    for (; open < k; ++open) {
+      WindowReport report;
+      report.index = static_cast<std::size_t>(open);
+      report.start = TimePoint() + kWindow * open;
+      report.end = report.start + kWindow;
+      report.hhhs = engine->extract(kPhi);
+      engine->reset();
+      reports.push_back(std::move(report));
+    }
+  };
+  for (std::size_t b = 0; b < packets.size(); b += kBatch) {
+    const auto batch = packets.subspan(b, std::min(kBatch, packets.size() - b));
+    std::size_t i = 0;
+    while (i < batch.size()) {
+      close_before(window_of(batch[i].ts));
+      std::size_t j = i + 1;
+      while (j < batch.size() && window_of(batch[j].ts) <= open) ++j;
+      engine->add_batch(batch.subspan(i, j - i));
+      i = j;
+    }
   }
-  detector.finish(end);
-  return detector.reports();
-}
-
-std::vector<WindowReport> run_pipeline(const EngineCase& engine_case,
-                                       const std::vector<PacketRecord>& packets,
-                                       TimePoint end) {
-  pipeline::PipelineConfig config;
-  config.phi = kPhi;
-  config.batch_size = kBatch;
-  config.finish_at = end;
-  pipeline::Pipeline pipe(pipeline::make_vector_source(packets),
-                          pipeline::make_engine_stage(engine_case.make()),
-                          pipeline::make_disjoint_policy(kWindow), config);
-  auto& collect = pipe.add_sink(std::make_unique<pipeline::CollectSink>());
-  pipe.run();
-  return collect.reports();
+  close_before(window_of(end));
+  return reports;
 }
 
 void expect_reports_identical(const std::vector<WindowReport>& expected,
@@ -73,13 +75,33 @@ void expect_reports_identical(const std::vector<WindowReport>& expected,
 
 }  // namespace
 
+std::vector<WindowReport> disjoint_pipeline_reports(std::span<const PacketRecord> packets,
+                                                    Duration window, double phi,
+                                                    TimePoint end,
+                                                    std::unique_ptr<HhhEngine> engine,
+                                                    std::size_t batch_size) {
+  pipeline::PipelineConfig config;
+  config.phi = phi;
+  config.batch_size = batch_size;
+  config.finish_at = end;
+  config.metrics = false;
+  if (!engine) engine = make_exact_engine(Hierarchy::byte_granularity());
+  pipeline::Pipeline pipe(pipeline::make_span_source(packets),
+                          pipeline::make_engine_stage(std::move(engine)),
+                          pipeline::make_disjoint_policy(window), config);
+  auto& collect = pipe.add_sink(std::make_unique<pipeline::CollectSink>());
+  pipe.run();
+  return collect.reports();
+}
+
 void run_pipeline_equivalence_case(const EngineCase& engine_case) {
   for (const std::uint64_t seed : {11u, 23u}) {
     const auto packets = workload(engine_case, seed, 20000);
     ASSERT_FALSE(packets.empty());
     const TimePoint end = packets.back().ts + kWindow;
-    const auto expected = run_detector(engine_case, packets, end);
-    const auto actual = run_pipeline(engine_case, packets, end);
+    const auto expected = run_reference(engine_case, packets, end);
+    const auto actual =
+        disjoint_pipeline_reports(packets, kWindow, kPhi, end, engine_case.make(), kBatch);
     ASSERT_GE(expected.size(), 2u) << "workload too short to cross a boundary";
     expect_reports_identical(expected, actual);
   }
@@ -102,7 +124,7 @@ void run_pipeline_snapshot_case(const EngineCase& engine_case) {
   config.phi = kPhi;
   config.batch_size = kBatch;
   config.finish_at = end;
-  pipeline::Pipeline pipe(pipeline::make_vector_source(packets),
+  pipeline::Pipeline pipe(pipeline::make_span_source(packets),
                           pipeline::make_engine_stage(engine_case.make()),
                           pipeline::make_disjoint_policy(kWindow), config);
   auto& collect = pipe.add_sink(std::make_unique<pipeline::CollectSink>());

@@ -6,11 +6,11 @@
 #include <algorithm>
 #include <filesystem>
 
+#include "analysis/hidden_analysis.hpp"
 #include "analysis/metrics.hpp"
-#include "core/disjoint_window.hpp"
-#include "core/hidden_analysis.hpp"
 #include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
+#include "harness/pipeline_axis.hpp"
 #include "net/pcap.hpp"
 #include "trace/synthetic_trace.hpp"
 
@@ -153,13 +153,10 @@ TEST(Integration, DdosEpisodeDetectedBySlidingBeforeDisjoint) {
   SlidingWindowHhhDetector sliding({.window = Duration::seconds(10),
                                     .step = Duration::seconds(1),
                                     .phi = 0.05});
-  DisjointWindowHhhDetector disjoint({.window = Duration::seconds(10), .phi = 0.05});
-  for (const auto& p : packets) {
-    sliding.offer(p);
-    disjoint.offer(p);
-  }
+  for (const auto& p : packets) sliding.offer(p);
   sliding.finish(TimePoint::from_seconds(60.0));
-  disjoint.finish(TimePoint::from_seconds(60.0));
+  const auto disjoint = harness::disjoint_pipeline_reports(
+      packets, Duration::seconds(10), 0.05, TimePoint::from_seconds(60.0));
 
   const PrefixKey attack_prefix = *PrefixKey::parse("203.0.128.0/24");
   const auto first_detection = [&](const std::vector<WindowReport>& reports) {
@@ -173,7 +170,7 @@ TEST(Integration, DdosEpisodeDetectedBySlidingBeforeDisjoint) {
     return TimePoint::from_seconds(1e9);
   };
   const TimePoint t_sliding = first_detection(sliding.reports());
-  const TimePoint t_disjoint = first_detection(disjoint.reports());
+  const TimePoint t_disjoint = first_detection(disjoint);
   ASSERT_LT(t_sliding.to_seconds(), 1e8) << "sliding never saw the attack";
   EXPECT_LE(t_sliding, t_disjoint) << "sliding detection must not be later";
 }

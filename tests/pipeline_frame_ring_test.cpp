@@ -30,7 +30,7 @@ void run_disjoint(const std::vector<PacketRecord>& packets, FrameRing* ring,
   PipelineConfig config;
   config.phi = 0.05;
   config.finish_at = finish;
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
                 make_disjoint_policy(window), config);
   pipe.add_sink(make_frame_ring_sink(ring));
@@ -152,7 +152,7 @@ TEST(FrameRing, ServesMementoDetectorFrames) {
   config.phi = 0.05;
   config.finish_at = end;
   FrameRing ring(1024);
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_memento_stage(std::make_unique<MementoHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   pipe.add_sink(make_frame_ring_sink(&ring));

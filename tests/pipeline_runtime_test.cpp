@@ -1,7 +1,7 @@
 // The pipeline runtime's own contract: policies, sources, sinks, clocks.
 //
-// Engine-equivalence against the legacy detectors is covered by the
-// conformance pipeline axis (tests/core_pipeline_axis_test.cpp); this
+// Engine-equivalence against a hand-written extract-and-reset loop is
+// covered by the conformance pipeline axis (tests/core_pipeline_axis_test.cpp); this
 // suite pins the runtime pieces themselves — boundary schedules, source
 // adapters, paced replay, snapshot streams, wall-clock windows, and the
 // sliding/decaying stage pairings.
@@ -89,27 +89,30 @@ TEST(WindowPolicyTest, QueryCadenceCoversAllHistory) {
   EXPECT_FALSE(policy->resets_state());
 }
 
-TEST(WindowPolicyTest, IndexRoundTripsForCheckpointRestore) {
-  auto policy = make_disjoint_policy(Duration::seconds(1));
-  policy->advance();
-  policy->advance();
-  EXPECT_EQ(policy->index(), 2u);
-  auto restored = make_disjoint_policy(Duration::seconds(1));
-  restored->set_index(policy->index());
-  EXPECT_EQ(restored->next_boundary(), policy->next_boundary());
-}
-
 // ----------------------------------------------------------------- sources
 
-TEST(PacketSourceTest, VectorSourceStreamsInOrder) {
+TEST(PacketSourceTest, SpanSourceStreamsInOrder) {
   const auto packets = harness::packet_train(Ipv4Address::of(10, 0, 0, 1), 100, 5);
-  auto source = make_vector_source(packets);
+  auto source = make_span_source(packets);
   std::size_t n = 0;
   while (auto p = source->next()) {
     EXPECT_EQ(p->ts, packets[n].ts);
     ++n;
   }
   EXPECT_EQ(n, packets.size());
+}
+
+TEST(PacketSourceTest, SpanSourceBatchesCopyWholeRuns) {
+  const auto packets = harness::packet_train(Ipv4Address::of(10, 0, 0, 1), 100, 5);
+  auto source = make_span_source(packets);
+  ASSERT_TRUE(source->next().has_value());  // the interfaces share one cursor
+  std::vector<PacketRecord> out(3);
+  ASSERT_EQ(source->next_batch(out), 3u);
+  EXPECT_EQ(out[0].ts, packets[1].ts);
+  EXPECT_EQ(out[2].ts, packets[3].ts);
+  ASSERT_EQ(source->next_batch(out), 1u);
+  EXPECT_EQ(out[0].ts, packets[4].ts);
+  EXPECT_EQ(source->next_batch(out), 0u);
 }
 
 TEST(PacketSourceTest, TraceFileSourceRoundTrips) {
@@ -164,7 +167,7 @@ TEST(PacketSourceTest, PacedSourcePacesDeliveryAtTargetPps) {
   FakePaceClock clock;
   const std::int64_t t0 = clock.now_ns();
   auto source =
-      make_paced_source(make_vector_source(packets), {.target_pps = 20000.0}, &clock);
+      make_paced_source(make_span_source(packets), {.target_pps = 20000.0}, &clock);
   std::vector<PacketRecord> buffer(64);
   std::size_t total = 0;
   while (const std::size_t n = source->next_batch(buffer)) total += n;
@@ -181,7 +184,7 @@ TEST(PacketSourceTest, PacedSourceStreamClockTracksSpeedFactor) {
   const auto packets = harness::packet_train(Ipv4Address::of(10, 0, 0, 1), 100, 3,
                                              /*start=*/0.0, /*gap=*/6.0);
   FakePaceClock clock;
-  auto source = make_paced_source(make_vector_source(packets), {.speed = 60.0}, &clock);
+  auto source = make_paced_source(make_span_source(packets), {.speed = 60.0}, &clock);
   ASSERT_TRUE(source->next());  // starts the pace clock at packet 0 (t=0)
   ASSERT_TRUE(source->next());  // sleeps until 6 s / 60 = 100 ms of wall time
   const auto now = source->stream_now();
@@ -191,7 +194,7 @@ TEST(PacketSourceTest, PacedSourceStreamClockTracksSpeedFactor) {
 
 TEST(PacketSourceTest, UnpacedPacedSourceDeliversEverythingImmediately) {
   const auto packets = harness::packet_train(Ipv4Address::of(10, 0, 0, 1), 100, 50);
-  auto source = make_paced_source(make_vector_source(packets), {});
+  auto source = make_paced_source(make_span_source(packets), {});
   std::vector<PacketRecord> buffer(64);
   EXPECT_EQ(source->next_batch(buffer), packets.size());
 }
@@ -210,7 +213,7 @@ TEST(PipelineTest, CollectAndCallbackSinksSeeIdenticalReports) {
   const TimePoint end = packets.back().ts + Duration::millis(100);
 
   std::vector<WindowReport> via_callback;
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
                 make_disjoint_policy(Duration::millis(50)), test_config(0.02, end));
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
@@ -231,7 +234,7 @@ TEST(PipelineTest, MaxWindowsStopsTheRun) {
   PipelineConfig config;
   config.phi = 0.05;
   config.max_windows = 2;
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
                 make_disjoint_policy(Duration::millis(50)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
@@ -248,7 +251,7 @@ TEST(PipelineTest, FlushOpenWindowEmitsTheFinalPartialEpoch) {
   {
     PipelineConfig config;
     config.phi = 0.5;
-    Pipeline pipe(make_vector_source(packets),
+    Pipeline pipe(make_span_source(packets),
                   make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
                   make_disjoint_policy(Duration::seconds(10)), config);
     auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
@@ -259,7 +262,7 @@ TEST(PipelineTest, FlushOpenWindowEmitsTheFinalPartialEpoch) {
     PipelineConfig config;
     config.phi = 0.5;
     config.flush_open_window = true;
-    Pipeline pipe(make_vector_source(packets),
+    Pipeline pipe(make_span_source(packets),
                   make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
                   make_disjoint_policy(Duration::seconds(10)), config);
     auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
@@ -285,7 +288,7 @@ TEST(PipelineTest, AbsoluteThresholdModeDerivesPhiPerWindow) {
   PipelineConfig config;
   config.threshold_bytes = 4000.0;
   config.finish_at = TimePoint::from_seconds(1.0);
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
                 make_disjoint_policy(Duration::seconds(1)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
@@ -342,7 +345,7 @@ TEST(SnapshotStreamTest, PerWindowFramesMergeBackToTheWholeStream) {
   PipelineConfig config;
   config.phi = 0.05;
   config.finish_at = end;
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
                 make_disjoint_policy(Duration::millis(50)), config);
   pipe.add_sink(make_snapshot_stream_sink(path.string()));
@@ -395,7 +398,7 @@ TEST(PipelineStagesTest, MementoStageMatchesDirectDetectorQueries) {
   config.phi = 0.05;
   config.finish_at = end;
   config.batch_size = 1;
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_memento_stage(std::make_unique<MementoHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
@@ -432,7 +435,7 @@ TEST(PipelineStagesTest, SlidingExactStageMatchesDetectorReports) {
   PipelineConfig config;
   config.phi = params.phi;
   config.finish_at = end;
-  Pipeline pipe(make_vector_source(packets), make_sliding_exact_stage(params),
+  Pipeline pipe(make_span_source(packets), make_sliding_exact_stage(params),
                 make_sliding_policy(params.window, params.step), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
   pipe.run();
@@ -457,7 +460,7 @@ TEST(PipelineStagesTest, TdbfStageAnswersEveryCadenceTick) {
   PipelineConfig config;
   config.phi = 0.1;
   config.finish_at = end;
-  Pipeline pipe(make_vector_source(packets),
+  Pipeline pipe(make_span_source(packets),
                 make_tdbf_stage(TimeDecayingHhhDetector::for_window(Duration::millis(100))),
                 make_query_cadence_policy(Duration::millis(25)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());

@@ -14,7 +14,6 @@
 #include "core/prefix_trie.hpp"
 #include "core/rhhh.hpp"
 #include "core/sliding_window.hpp"
-#include "sketch/count_min.hpp"
 #include "sketch/memento.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
@@ -59,33 +58,6 @@ TEST_P(SpaceSavingSweep, ErrorBoundHoldsEverywhere) {
 INSTANTIATE_TEST_SUITE_P(CapacityBySkew, SpaceSavingSweep,
                          ::testing::Combine(::testing::Values(16, 64, 256),
                                             ::testing::Values(0.6, 1.0, 1.4)));
-
-// --- Count-Min: error shrinks as width grows --------------------------------
-
-class CountMinWidthSweep : public ::testing::TestWithParam<int> {};
-
-TEST_P(CountMinWidthSweep, OverestimateWithinEpsN) {
-  const int width = GetParam();
-  CountMinSketch cm(CountMinParams{.width = static_cast<std::size_t>(width), .depth = 5});
-  Rng rng(0xCE11);
-  ZipfSampler zipf(5000, 1.1);
-  std::map<std::uint64_t, std::uint64_t> truth;
-  for (int i = 0; i < 80000; ++i) {
-    const std::uint64_t key = zipf.sample(rng);
-    cm.update(key, 1);
-    ++truth[key];
-  }
-  const double eps_n =
-      std::exp(1.0) / static_cast<double>(cm.width()) * static_cast<double>(cm.total());
-  int violations = 0;
-  for (const auto& [key, count] : truth) {
-    EXPECT_GE(cm.estimate(key), count);
-    if (static_cast<double>(cm.estimate(key) - count) > eps_n) ++violations;
-  }
-  EXPECT_LE(violations, static_cast<int>(truth.size() / 50));
-}
-
-INSTANTIATE_TEST_SUITE_P(Widths, CountMinWidthSweep, ::testing::Values(256, 1024, 4096));
 
 // --- Decaying counting Bloom filter: overestimate across geometries ---------
 

@@ -45,9 +45,10 @@ Scope engine_scope(std::unique_ptr<HhhEngine> engine, std::string label) {
   return Scope{.label = std::move(label), .summary = wire::DecodedSummary(std::move(engine))};
 }
 
-// A CRC-valid frame of the retired kind 6 (the removed WCSS detector).
-std::vector<std::uint8_t> retired_kind_6_frame() {
-  return wire::build_frame(static_cast<wire::SnapshotKind>(6),
+// A CRC-valid frame of a retired kind: 6 (the removed WCSS detector) or 8
+// (the removed disjoint-window detector's checkpoint).
+std::vector<std::uint8_t> retired_kind_frame(int kind = 6) {
+  return wire::build_frame(static_cast<wire::SnapshotKind>(kind),
                            std::vector<std::uint8_t>{1, 2, 3, 4});
 }
 
@@ -254,11 +255,14 @@ TEST(DecodeScope, RefusesStreamProtocolFrames) {
   expect_wire_error(wire::WireError::kUnsupportedEngine, [&] { decode_scope(frame, "x"); });
 }
 
-TEST(DecodeScope, RefusesTheRetiredKind6) {
-  const auto bytes = retired_kind_6_frame();
-  const auto frame = wire::parse_frame(bytes);  // still a well-formed frame
-  EXPECT_EQ(static_cast<int>(frame.kind), 6);
-  expect_wire_error(wire::WireError::kUnsupportedEngine, [&] { decode_scope(frame, "x"); });
+TEST(DecodeScope, RefusesTheRetiredKinds) {
+  for (const int kind : {6, 8}) {
+    SCOPED_TRACE(kind);
+    const auto bytes = retired_kind_frame(kind);
+    const auto frame = wire::parse_frame(bytes);  // still a well-formed frame
+    EXPECT_EQ(static_cast<int>(frame.kind), kind);
+    expect_wire_error(wire::WireError::kUnsupportedEngine, [&] { decode_scope(frame, "x"); });
+  }
 }
 
 TEST(DecodedSummary, MergeAcrossFamiliesThrows) {
@@ -362,7 +366,7 @@ TEST(MergeLedger, SavedGroupFramesAreTheCollectorsInputFormat) {
 TEST(MergeLedger, LoadStateRefusesARetiredKind6GroupFrame) {
   // A checkpoint laid out as save_state() writes it, whose one group
   // frame is of the retired kind 6.
-  const auto frame = retired_kind_6_frame();
+  const auto frame = retired_kind_frame();
   std::vector<std::uint8_t> bytes;
   wire::Writer w(bytes);
   w.u64(1);

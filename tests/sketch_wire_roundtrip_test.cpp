@@ -8,10 +8,8 @@
 #include <vector>
 
 #include "harness/sweep.hpp"
-#include "sketch/count_min.hpp"
 #include "sketch/count_sketch.hpp"
 #include "sketch/memento.hpp"
-#include "sketch/misra_gries.hpp"
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
 #include "util/random.hpp"
@@ -77,20 +75,6 @@ TEST(SketchWireRoundTrip, SpaceSavingCapacityMismatchIsTyped) {
   }
 }
 
-TEST(SketchWireRoundTrip, CountMinExact) {
-  const CountMinParams params{.width = 512, .depth = 4, .conservative = true, .seed = 9};
-  CountMinSketch original(params);
-  Rng rng(0x22EE'0002);
-  for (int i = 0; i < 5000; ++i) original.update(rng.below(2000), 1 + rng.below(64));
-
-  CountMinSketch restored(params);
-  round_trip(original, restored);
-  EXPECT_EQ(restored.total(), original.total());
-  for (std::uint64_t key = 0; key < 2000; ++key) {
-    EXPECT_EQ(restored.estimate(key), original.estimate(key)) << key;
-  }
-}
-
 TEST(SketchWireRoundTrip, CountSketchExact) {
   CountSketch original(512, 5, 0x5EED);
   Rng rng(0x22EE'0003);
@@ -103,20 +87,6 @@ TEST(SketchWireRoundTrip, CountSketchExact) {
     EXPECT_EQ(restored.estimate(key), original.estimate(key)) << key;
   }
   EXPECT_EQ(restored.f2_estimate(), original.f2_estimate());
-}
-
-TEST(SketchWireRoundTrip, MisraGriesExact) {
-  MisraGries original(32);
-  Rng rng(0x22EE'0004);
-  for (int i = 0; i < 5000; ++i) original.update(rng.below(300), 1.0 + rng.below(10));
-
-  MisraGries restored(32);
-  round_trip(original, restored);
-  EXPECT_EQ(restored.total(), original.total());
-  EXPECT_EQ(restored.size(), original.size());
-  for (std::uint64_t key = 0; key < 300; ++key) {
-    EXPECT_EQ(restored.estimate(key), original.estimate(key)) << key;
-  }
 }
 
 TEST(SketchWireRoundTrip, DecayingCountingBloomFilterExact) {

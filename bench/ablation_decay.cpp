@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
     for (const auto& p : packets) {
       det.offer(p);
       if (p.ts >= next_query) {
-        reported.add(det.query(p.ts, phi).prefixes());
+        reported.add(det.report(p.ts, phi).prefixes());
         next_query += step;
       }
     }

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
     sliding.offer(p);
     tdbf.offer(p);
     if (p.ts >= next_snapshot) {
-      tdbf_churn.add_report(tdbf.query(p.ts, phi).prefixes());
+      tdbf_churn.add_report(tdbf.report(p.ts, phi).prefixes());
       next_snapshot += step;
     }
   }

@@ -92,7 +92,7 @@ int main(int argc, char** argv) {
       for (const auto& p : packets) {
         det.offer(p);
         if (p.ts >= next_query) {
-          u.add(det.query(p.ts, phi).prefixes());
+          u.add(det.report(p.ts, phi).prefixes());
           next_query += step;
         }
       }
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
       for (const auto& p : packets) {
         det.offer(p);
         if (p.ts >= next_query) {
-          u.add(det.query(p.ts, phi).prefixes());
+          u.add(det.report(p.ts, phi).prefixes());
           next_query += cadence;
         }
       }

@@ -340,8 +340,9 @@ SaturationResult measure_live_saturation(const std::vector<PacketRecord>& packet
 
 // --- sliding-window section --------------------------------------------------
 
-/// One sliding-window detector row: offer() vs offer_batch() packet rate,
-/// plus precision/recall of query(trace end, phi) against the exact
+/// One sliding-window detector row: offer() vs batch packet rate (the
+/// JSON keeps the `offer_batch_pps` key), plus precision/recall of
+/// report(trace end, phi) against the exact
 /// trailing-window HHH set — throughput numbers are only comparable when
 /// the detectors answer (roughly) the same question.
 struct SlidingResult {
@@ -377,9 +378,17 @@ void score_against(const HhhSet& exact, const HhhSet& approx, SlidingResult* row
       truth.empty() ? 1.0 : static_cast<double>(hits) / static_cast<double>(truth.size());
 }
 
-/// Times one sliding detector's offer() loop and offer_batch() chunks
+/// Batch ingest of one sliding row: Memento detectors take runs through
+/// HhhSummary::add_batch, the exact sliding detector through its own
+/// offer_batch.
+void ingest_batch(HhhSummary& det, std::span<const PacketRecord> run) { det.add_batch(run); }
+void ingest_batch(SlidingWindowHhhDetector& det, std::span<const PacketRecord> run) {
+  det.offer_batch(run);
+}
+
+/// Times one sliding detector's offer() loop and batch-ingest chunks
 /// (best of repeats, like measure_engine), then replays once more through
-/// offer_batch to score accuracy at the end of the trace. `query` maps a
+/// ingest_batch to score accuracy at the end of the trace. `query` maps a
 /// finished detector to its HhhSet — empty optional-ish behaviour is not
 /// needed; the exact detector passes a no-op and keeps the 1.0 defaults
 /// (its rolling counters ARE the ground truth).
@@ -397,11 +406,11 @@ SlidingResult measure_sliding(const std::string& name, const std::string& family
   result.offer_batch_pps = best_pps(opt.repeats, packets.size(), make, [&](auto& det) {
     const std::span<const PacketRecord> all(packets);
     for (std::size_t i = 0; i < all.size(); i += opt.batch_size) {
-      det.offer_batch(all.subspan(i, std::min(opt.batch_size, all.size() - i)));
+      ingest_batch(det, all.subspan(i, std::min(opt.batch_size, all.size() - i)));
     }
   });
   auto det = make();
-  det->offer_batch(packets);
+  ingest_batch(*det, packets);
   query(*det, &result);
   std::printf("%-14s %-3s  offer: %10.0f pps   offer_batch: %10.0f pps   "
               "precision %.2f  recall %.2f\n",
@@ -430,8 +439,8 @@ std::vector<SlidingResult> measure_sliding_section(const ThroughputOptions& opt,
   rows.push_back(measure_sliding(
       "memento", "v4",
       [&] { return std::make_unique<MementoHhhDetector>(MementoHhhParams{.window = window}); },
-      [&](MementoDetector& det, SlidingResult* row) {
-        score_against(exact_v4, det.query(packets.back().ts, phi), row);
+      [&](HhhSummary& det, SlidingResult* row) {
+        score_against(exact_v4, det.report(packets.back().ts, phi), row);
       },
       packets, opt));
 
@@ -444,8 +453,8 @@ std::vector<SlidingResult> measure_sliding_section(const ThroughputOptions& opt,
         return std::make_unique<MementoHhhV6Detector>(MementoHhhParams{
             .hierarchy = Hierarchy::v6_byte_granularity(), .window = window});
       },
-      [&](MementoDetector& det, SlidingResult* row) {
-        score_against(exact_v6, det.query(v6_packets.back().ts, phi), row);
+      [&](HhhSummary& det, SlidingResult* row) {
+        score_against(exact_v6, det.report(v6_packets.back().ts, phi), row);
       },
       v6_packets, opt));
   return rows;
@@ -898,7 +907,7 @@ void BM_TdbfHhhQuery(benchmark::State& state) {
   for (const auto& p : packets) det.offer(p);
   const TimePoint now = packets.back().ts;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(det.query(now, 0.01));
+    benchmark::DoNotOptimize(det.report(now, 0.01));
   }
   state.SetItemsProcessed(state.iterations());
 }

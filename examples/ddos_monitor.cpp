@@ -22,6 +22,7 @@
 
 #include "core/exact_engine.hpp"
 #include "core/memento_hhh.hpp"
+#include "core/tdbf_hhh.hpp"
 #include "pipeline/pipeline.hpp"
 #include "trace/synthetic_trace.hpp"
 #include "util/strings.hpp"
@@ -98,12 +99,14 @@ int main() {
 
   const auto t_memento = first_alarm(
       config,
-      pipeline::make_memento_stage(std::make_unique<MementoHhhDetector>(
+      pipeline::make_engine_stage(std::make_unique<MementoHhhDetector>(
           MementoHhhParams{.window = window, .frames = 10})),
       pipeline::make_sliding_policy(window, Duration::seconds(1)), phi, attack_prefix);
 
   const auto t_tdbf = first_alarm(
-      config, pipeline::make_tdbf_stage(TimeDecayingHhhDetector::for_window(window)),
+      config,
+      pipeline::make_engine_stage(
+          std::make_unique<TimeDecayingHhhDetector>(TimeDecayingHhhDetector::for_window(window))),
       pipeline::make_query_cadence_policy(Duration::millis(250)), phi, attack_prefix);
 
   const auto report = [&](const char* name, const std::optional<TimePoint>& t) {

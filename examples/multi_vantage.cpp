@@ -157,25 +157,26 @@ double scope_phi(double total) {
 /// snapshot, reports local visibility of `attacker`, merges, and returns
 /// whether the attacker was hidden locally yet revealed by the merge.
 bool reveal(const std::vector<std::string>& paths, PrefixKey attacker) {
-  std::vector<std::unique_ptr<HhhEngine>> engines;
+  std::vector<std::unique_ptr<HhhSummary>> summaries;
   bool hidden_everywhere = true;
   for (const std::string& path : paths) {
-    engines.push_back(wire::load_engine(wire::read_file(path)));
-    HhhEngine& e = *engines.back();
-    const HhhSet local = e.extract(scope_phi(static_cast<double>(e.total_bytes())));
+    summaries.push_back(wire::load_engine(wire::read_file(path)));
+    HhhSummary& e = *summaries.back();
+    const double total = e.total(e.watermark());
+    const HhhSet local = e.report(e.watermark(), scope_phi(total));
     std::printf("%s: total %.2f MB, %zu local HHHs, reports %s? %s\n", path.c_str(),
-                static_cast<double>(e.total_bytes()) / 1e6, local.size(),
+                total / 1e6, local.size(),
                 attacker.to_string().c_str(), local.contains(attacker) ? "YES" : "no");
     hidden_everywhere &= !local.contains(attacker);
   }
 
-  for (std::size_t i = 1; i < engines.size(); ++i) engines[0]->merge_from(*engines[i]);
-  HhhEngine& merged = *engines[0];
-  const HhhSet network =
-      merged.extract(scope_phi(static_cast<double>(merged.total_bytes())));
+  for (std::size_t i = 1; i < summaries.size(); ++i) summaries[0]->merge_from(*summaries[i]);
+  HhhSummary& merged = *summaries[0];
+  const double merged_total = merged.total(merged.watermark());
+  const HhhSet network = merged.report(merged.watermark(), scope_phi(merged_total));
 
-  std::printf("\nmerged: total %.2f MB at threshold %.1f MB\n",
-              static_cast<double>(merged.total_bytes()) / 1e6, kThresholdBytes / 1e6);
+  std::printf("\nmerged: total %.2f MB at threshold %.1f MB\n", merged_total / 1e6,
+              kThresholdBytes / 1e6);
   for (const auto& item : network.items()) {
     std::printf("  %-22s  %9.2f MB\n", item.prefix.to_string().c_str(),
                 static_cast<double>(item.conditioned_bytes) / 1e6);

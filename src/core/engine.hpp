@@ -18,8 +18,8 @@
 #include <string>
 
 #include "core/hhh_types.hpp"
+#include "core/summary.hpp"
 #include "net/packet.hpp"
-#include "wire/fwd.hpp"
 
 /// \namespace hhh
 /// \brief Hierarchical heavy-hitter measurement library: engines, window
@@ -34,11 +34,21 @@ namespace hhh {
 /// (ShardedHhhEngine). The disjoint-window driver resets the engine at
 /// every window boundary and extracts at window close; engines are driven
 /// by exactly one caller thread at a time.
-class HhhEngine {
+///
+/// As an HhhSummary an engine ignores the query instant: report() is
+/// extract() and total() is total_bytes(). merge_from() error bounds per
+/// engine:
+///  * exact — lossless: merge(A, B) followed by extract() is
+///    byte-identical to one engine ingesting A's and B's streams;
+///  * rhhh / hss — per-level Space-Saving summaries are merged with the
+///    mergeable-summaries bound (Agarwal et al., PODS'12): a summary of
+///    capacity k over weight N overestimates by at most N/k, and merging
+///    sums the bounds, so the merged overestimate is at most
+///    (N_self + N_other)/k per level (scaled by H in sampled mode);
+///  * engines without merge support (ancestry, univmon, sharded) keep
+///    HhhSummary's default, which throws std::logic_error.
+class HhhEngine : public HhhSummary {
  public:
-  /// Engines are owned polymorphically by the window drivers.
-  virtual ~HhhEngine() = default;
-
   /// Account one packet (source + IP bytes). Packets whose address
   /// family differs from the engine's hierarchy are ignored — neither
   /// counted in total_bytes() nor fed to the summaries — so a dual-stack
@@ -52,7 +62,7 @@ class HhhEngine {
   /// differently, but the sampling distribution must match). Engines
   /// override this when batching admits a cheaper implementation
   /// (amortized sampling, deferred propagation, level-major passes).
-  virtual void add_batch(std::span<const PacketRecord> packets) {
+  void add_batch(std::span<const PacketRecord> packets) override {
     for (const auto& p : packets) add(p);
   }
 
@@ -60,65 +70,23 @@ class HhhEngine {
   /// threshold `phi` (T = ceil(phi * total)).
   virtual HhhSet extract(double phi) const = 0;
 
+  /// extract(phi); an engine's scope does not depend on the instant.
+  HhhSet report(TimePoint, double phi) final { return extract(phi); }
+
+  /// total_bytes(); an engine's scope does not depend on the instant.
+  double total(TimePoint) final { return static_cast<double>(total_bytes()); }
+
   /// Forget everything (window boundary).
-  virtual void reset() = 0;
+  void reset() override = 0;
 
   /// Bytes accounted since the last reset (exact in every engine).
   virtual std::uint64_t total_bytes() const = 0;
-
-  /// Resident memory footprint of the engine's state, in bytes.
-  virtual std::size_t memory_bytes() const = 0;
-
-  /// Stable engine identifier ("exact", "rhhh", ...) used in bench output.
-  virtual std::string name() const = 0;
 
   /// True when merge_from() is supported by this engine type. Mergeable
   /// engines are the building block of sharded ingestion: N replicas each
   /// ingest a hash-partition of the stream and are folded together at
   /// extraction time.
   virtual bool mergeable() const { return false; }
-
-  /// Fold another engine's accumulated state into this one, as if this
-  /// engine had also ingested every packet `other` ingested.
-  ///
-  /// Error-bound semantics per engine:
-  ///  * exact — lossless: merge(A, B) followed by extract() is
-  ///    byte-identical to one engine ingesting A's and B's streams;
-  ///  * rhhh / hss — per-level Space-Saving summaries are merged with the
-  ///    mergeable-summaries bound (Agarwal et al., PODS'12): a summary of
-  ///    capacity k over weight N overestimates by at most N/k, and merging
-  ///    sums the bounds, so the merged overestimate is at most
-  ///    (N_self + N_other)/k per level (scaled by H in sampled mode);
-  ///  * engines without merge support (ancestry, univmon, tdbf) throw
-  ///    std::logic_error — the default implementation.
-  ///
-  /// Throws std::invalid_argument when `other` is an incompatible
-  /// configuration (different hierarchy, different mode).
-  virtual void merge_from(const HhhEngine& other);
-
-  /// True when save_state()/load_state() are implemented. Serializable
-  /// engines can be snapshotted to the versioned wire format
-  /// (wire/snapshot.hpp) and shipped across process/machine boundaries —
-  /// the substrate of the multi-vantage collector and of checkpoint/
-  /// restore in long-running monitors.
-  virtual bool serializable() const { return false; }
-
-  /// Write the engine's construction parameters followed by its full
-  /// state to the wire. The contract every implementation must keep:
-  /// `load_state(save_state(e))` into an identically-configured engine
-  /// yields a byte-identical extract() — and, because RNG state travels
-  /// too, identical behaviour on any subsequently ingested stream.
-  ///
-  /// The default implementation throws std::logic_error (not
-  /// serializable).
-  virtual void save_state(wire::Writer& w) const;
-
-  /// Restore state written by save_state(). The receiving engine must be
-  /// constructed with the same parameters; a mismatch throws
-  /// wire::WireFormatError with code kParamsMismatch, corrupt input
-  /// throws kTruncated/kBadValue — never UB. The default implementation
-  /// throws std::logic_error.
-  virtual void load_state(wire::Reader& r);
 };
 
 /// The exact engine: LevelAggregates + extract_hhh.

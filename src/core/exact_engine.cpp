@@ -34,7 +34,7 @@ std::string BasicExactEngine<D>::name() const {
 }
 
 template <typename D>
-void BasicExactEngine<D>::merge_from(const HhhEngine& other) {
+void BasicExactEngine<D>::merge_from(const HhhSummary& other) {
   const auto* peer = dynamic_cast<const BasicExactEngine*>(&other);
   if (peer == nullptr) {
     throw std::invalid_argument("ExactEngine::merge_from: peer is not an ExactEngine ('" +

@@ -48,7 +48,7 @@ class BasicExactEngine final : public HhhEngine {
   /// Lossless merge: adds `other`'s counters into this engine. Requires
   /// `other` to be an exact engine over the same hierarchy (and therefore
   /// the same family).
-  void merge_from(const HhhEngine& other) override;
+  void merge_from(const HhhSummary& other) override;
 
   /// Always true: the counters serialize losslessly.
   bool serializable() const override { return true; }

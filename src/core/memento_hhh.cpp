@@ -94,16 +94,16 @@ void BasicMementoHhhDetector<D>::offer(const PacketRecord& packet) {
 }
 
 template <typename D>
-void BasicMementoHhhDetector<D>::offer_batch(std::span<const PacketRecord> packets) {
+void BasicMementoHhhDetector<D>::add_batch(std::span<const PacketRecord> run) {
   // Amortized level draws, exactly as in RHHH's add_batch: one xoshiro
   // output yields two 32-bit halves, each Lemire-reduced to [0, H) — two
   // uniform draws per RNG step, no rejection loop. Per-packet choices stay
-  // independent and uniform, so query() statistics match the offer() loop.
+  // independent and uniform, so report() statistics match the offer() loop.
   const std::uint64_t num_levels = levels_.size();
   const unsigned* const lens = params_.hierarchy.lengths().data();
   std::uint32_t spare = 0;
   bool have_spare = false;
-  for (const PacketRecord& p : packets) {
+  for (const PacketRecord& p : run) {
     if (p.family() != D::kFamily) continue;  // skipped packets draw nothing
     note_packet(p.ts, p.ip_len);
     std::uint64_t half;
@@ -123,7 +123,7 @@ void BasicMementoHhhDetector<D>::offer_batch(std::span<const PacketRecord> packe
 }
 
 template <typename D>
-double BasicMementoHhhDetector<D>::window_total(TimePoint now) {
+double BasicMementoHhhDetector<D>::total(TimePoint now) {
   note_packet(now, 0.0);  // advance the total ring without accounting bytes
   const std::int64_t oldest = current_frame_ - static_cast<std::int64_t>(params_.frames);
   double sum = 0.0;
@@ -136,11 +136,11 @@ double BasicMementoHhhDetector<D>::window_total(TimePoint now) {
 }
 
 template <typename D>
-HhhSet BasicMementoHhhDetector<D>::query(TimePoint now, double phi) {
+HhhSet BasicMementoHhhDetector<D>::report(TimePoint now, double phi) {
   HhhSet result;
-  const double total = window_total(now);
-  result.total_bytes = static_cast<std::uint64_t>(total);
-  const double threshold = std::max(phi * total, 1.0);
+  const double window = total(now);
+  result.total_bytes = static_cast<std::uint64_t>(window);
+  const double threshold = std::max(phi * window, 1.0);
   result.threshold_bytes = static_cast<std::uint64_t>(std::ceil(threshold));
   const double scale = static_cast<double>(levels_.size());
 
@@ -185,7 +185,7 @@ HhhSet BasicMementoHhhDetector<D>::query(TimePoint now, double phi) {
 }
 
 template <typename D>
-void BasicMementoHhhDetector<D>::merge_from(const MementoDetector& other) {
+void BasicMementoHhhDetector<D>::merge_from(const HhhSummary& other) {
   const auto* peer = dynamic_cast<const BasicMementoHhhDetector*>(&other);
   if (peer == nullptr) {
     throw std::invalid_argument("MementoHhhDetector::merge_from: family mismatch ('" +
@@ -223,7 +223,7 @@ void BasicMementoHhhDetector<D>::merge_from(const MementoDetector& other) {
 }
 
 template <typename D>
-TimePoint BasicMementoHhhDetector<D>::high_watermark() const noexcept {
+TimePoint BasicMementoHhhDetector<D>::watermark() const noexcept {
   if (current_frame_ < 0) return TimePoint();
   return TimePoint::from_ns(current_frame_ * frame_len_.ns());
 }
@@ -286,7 +286,7 @@ std::string BasicMementoHhhDetector<D>::name() const {
 template class BasicMementoHhhDetector<V4Domain>;
 template class BasicMementoHhhDetector<V6Domain>;
 
-std::unique_ptr<MementoDetector> deserialize_memento_detector(wire::Reader& r) {
+std::unique_ptr<HhhSummary> deserialize_memento_detector(wire::Reader& r) {
   const MementoHhhParams p = read_memento_params(r);
   if (p.hierarchy.family() == AddressFamily::kIpv4) {
     auto detector = std::make_unique<MementoHhhDetector>(p);

@@ -117,7 +117,7 @@ void BasicRhhhEngine<D>::add_batch(std::span<const PacketRecord> packets) {
 }
 
 template <typename D>
-void BasicRhhhEngine<D>::merge_from(const HhhEngine& other) {
+void BasicRhhhEngine<D>::merge_from(const HhhSummary& other) {
   const auto* peer = dynamic_cast<const BasicRhhhEngine*>(&other);
   if (peer == nullptr) {
     throw std::invalid_argument("RhhhEngine::merge_from: peer is not an RhhhEngine ('" +

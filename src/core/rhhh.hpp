@@ -83,7 +83,7 @@ class BasicRhhhEngine final : public HhhEngine {
   /// the same epsilon-degradation as feeding one engine both streams, so
   /// sharded RHHH keeps RHHH's accuracy class. Requires identical
   /// hierarchy and mode; throws std::invalid_argument otherwise.
-  void merge_from(const HhhEngine& other) override;
+  void merge_from(const HhhSummary& other) override;
 
   /// Scaled volume estimate of `prefix` (must be at a hierarchy level).
   double estimate(PrefixKey prefix) const;

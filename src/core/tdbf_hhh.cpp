@@ -64,16 +64,20 @@ void TimeDecayingHhhDetector::offer(const PacketRecord& packet) {
   }
 }
 
-double TimeDecayingHhhDetector::decayed_total(TimePoint now) const {
+void TimeDecayingHhhDetector::add_batch(std::span<const PacketRecord> run) {
+  for (const PacketRecord& p : run) offer(p);
+}
+
+double TimeDecayingHhhDetector::total(TimePoint now) {
   // All levels see identical traffic; level 0's filter carries the total.
   return filters_[0].total(now);
 }
 
-HhhSet TimeDecayingHhhDetector::query(TimePoint now, double phi) const {
+HhhSet TimeDecayingHhhDetector::report(TimePoint now, double phi) {
   HhhSet result;
-  const double total = decayed_total(now);
-  result.total_bytes = static_cast<std::uint64_t>(total);
-  const double threshold = std::max(phi * total, 1.0);
+  const double decayed = total(now);
+  result.total_bytes = static_cast<std::uint64_t>(decayed);
+  const double threshold = std::max(phi * decayed, 1.0);
   result.threshold_bytes = static_cast<std::uint64_t>(std::ceil(threshold));
 
   // Space-Saving counts decay lazily: bring them to `now` on read.

@@ -25,9 +25,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/hhh_types.hpp"
+#include "core/summary.hpp"
 #include "net/hierarchy.hpp"
 #include "net/packet.hpp"
 #include "sketch/space_saving.hpp"
@@ -37,8 +40,11 @@
 
 namespace hhh {
 
-/// Windowless continuous-time HHH detector over decaying structures.
-class TimeDecayingHhhDetector {
+/// Windowless continuous-time HHH detector over decaying structures. As
+/// an HhhSummary it never resets (state decays), does not merge, and is
+/// not serializable as a snapshot frame: save_state()/load_state() are
+/// its in-place checkpoint only.
+class TimeDecayingHhhDetector final : public HhhSummary {
  public:
   /// Construction-time configuration.
   struct Params {
@@ -60,30 +66,36 @@ class TimeDecayingHhhDetector {
   /// Account a packet; timestamps must be non-decreasing.
   void offer(const PacketRecord& packet);
 
+  /// The offer() loop over a timestamp-ordered run.
+  void add_batch(std::span<const PacketRecord> run) override;
+
   /// Continuous-time HHH query at `now` with relative threshold `phi`
   /// (T = phi * decayed total). Any instant is valid — this is the whole
   /// point of the windowless design.
-  HhhSet query(TimePoint now, double phi) const;
+  HhhSet report(TimePoint now, double phi) override;
 
   /// Decayed traffic total as of `now` (bytes-equivalent).
-  double decayed_total(TimePoint now) const;
+  double total(TimePoint now) override;
 
   /// The configured half-life, in seconds.
   double half_life_seconds() const noexcept;
   /// Footprint of the filters and candidate summaries.
-  std::size_t memory_bytes() const noexcept;
+  std::size_t memory_bytes() const noexcept override;
+
+  /// "tdbf".
+  std::string name() const override { return "tdbf"; }
 
   /// Write the detector's full continuous-time state (per-level filters,
   /// candidate summaries, rescale cursor) to the wire — the windowless
   /// monitor's checkpoint, since there is no window boundary to restart
   /// cleanly at.
-  void save_state(wire::Writer& w) const;
+  void save_state(wire::Writer& w) const override;
 
   /// Restore a checkpoint written by save_state() into a detector
   /// constructed with the same Params; queries then continue exactly
   /// where the checkpointed monitor left off. Throws
   /// wire::WireFormatError(kParamsMismatch) on a configuration mismatch.
-  void load_state(wire::Reader& r);
+  void load_state(wire::Reader& r) override;
 
  private:
   /// Decay all Space-Saving counts to `now` (amortized; called on offer).

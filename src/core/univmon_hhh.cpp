@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "net/key_domain.hpp"
+#include "util/bit.hpp"
 #include "wire/codec.hpp"
 
 namespace hhh {
@@ -133,6 +134,21 @@ UnivmonHhhEngine::Params UnivmonHhhEngine::read_params(wire::Reader& r) {
               "UnivmonHhhEngine sampling level count out of range");
   wire::check(p.sketch_width <= (1u << 20) && p.sketch_depth <= 16,
               wire::WireError::kBadValue, "UnivmonHhhEngine sketch shape out of range");
+  // Every valid payload carries the count-sketch tables densely
+  // (CountSketch::save_state writes every counter), so the tables the
+  // constructor will allocate for these params must fit in the bytes
+  // left: a params-only frame cannot size gigabytes of state. One
+  // UnivMon per hierarchy level; widths taper as in UnivMon's constructor.
+  std::uint64_t univmon_bytes = 0;  // <= 32 x 2^20 x 16 x 8 after the checks above
+  for (std::size_t i = 0; i < p.levels; ++i) {
+    const std::uint64_t width =
+        next_pow2(std::max<std::uint64_t>(8, p.sketch_width >> std::min<std::size_t>(i, 4)));
+    univmon_bytes += width * std::max<std::uint64_t>(p.sketch_depth, 1) * sizeof(std::int64_t);
+  }
+  // H x univmon_bytes <= remaining, divided instead of multiplied so it
+  // cannot overflow.
+  wire::check(univmon_bytes <= r.remaining() / p.hierarchy.levels(), wire::WireError::kTruncated,
+              "UnivmonHhhEngine sketch tables exceed the payload");
   return p;
 }
 

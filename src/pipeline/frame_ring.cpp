@@ -1,9 +1,9 @@
 #include "pipeline/frame_ring.hpp"
 
-#include <optional>
 #include <stdexcept>
 #include <utility>
 
+#include "core/summary.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
 
@@ -49,30 +49,30 @@ IntervalReport FrameRing::query_interval(TimePoint t1, TimePoint t2,
   const std::vector<const RetainedFrame*> selected = frames_in(t1, t2);
   if (selected.empty()) return out;
 
-  std::optional<wire::DecodedSummary> merged;
+  std::unique_ptr<HhhSummary> merged;
   for (const RetainedFrame* retained : selected) {
     const wire::FrameView frame = wire::parse_frame(retained->frame);
     wire::check(frame.frame_size == retained->frame.size(),
                 wire::WireError::kTrailingBytes,
                 "retained bytes continue past their frame");
-    wire::DecodedSummary summary = wire::DecodedSummary::decode(frame);
+    std::unique_ptr<HhhSummary> summary = wire::load_engine(frame);
     if (!merged) {
       merged = std::move(summary);
       out.covered_start = retained->start;
     } else {
-      if (summary.key() != merged->key()) {
+      if (summary->name() != merged->name()) {
         throw std::invalid_argument(
             "FrameRing::query_interval: mixed frame groups in interval ('" +
-            merged->key() + "' vs '" + summary.key() + "')");
+            merged->name() + "' vs '" + summary->name() + "')");
       }
-      merged->merge_from(summary);
+      merged->merge_from(*summary);
     }
     ++out.frames_merged;
     out.covered_end = retained->end;
   }
 
-  out.hhhs = merged->report(phi);
-  out.group = merged->key();
+  out.hhhs = merged->report(merged->watermark(), phi);
+  out.group = merged->name();
   return out;
 }
 

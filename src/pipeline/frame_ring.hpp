@@ -25,7 +25,8 @@
 /// (pipeline_frame_ring_test pins this).
 ///
 /// Layering: sits above wire/ and core/ (frames decode through
-/// wire::DecodedSummary, the type the collector's ledger merges too) and
+/// wire::load_engine into an HhhSummary, the type the collector's ledger
+/// merges too, and the merged state reports at its watermark()) and
 /// beside the sinks; service/ is not involved.
 #pragma once
 
@@ -55,7 +56,7 @@ struct IntervalReport {
   std::size_t frames_merged = 0;   ///< retained frames that entered the merge
   TimePoint covered_start;         ///< start of the earliest merged frame
   TimePoint covered_end;           ///< end of the latest merged frame
-  std::string group;               ///< compatibility key ("engine:<name>" peer)
+  std::string group;               ///< compatibility key (the summary's name())
 };
 
 /// Bounded ring of retained snapshot frames with interval queries.

@@ -15,34 +15,35 @@ std::vector<std::uint8_t> MeasurementStage::snapshot() const {
 
 namespace {
 
-class EngineStage final : public MeasurementStage {
+class SummaryStage final : public MeasurementStage {
  public:
-  explicit EngineStage(std::unique_ptr<HhhEngine> engine) : engine_(std::move(engine)) {
-    if (!engine_) throw std::invalid_argument("EngineStage: null engine");
+  explicit SummaryStage(std::unique_ptr<HhhSummary> summary) : summary_(std::move(summary)) {
+    if (!summary_) throw std::invalid_argument("make_engine_stage: null summary");
   }
 
   void ingest(std::span<const PacketRecord> run) override {
     folded_.reset();
-    engine_->add_batch(run);
+    summary_->add_batch(run);
+    if (!run.empty()) last_ts_ = run.back().ts;
   }
 
-  HhhSet report(const WindowEvent&, double phi) override {
+  HhhSet report(const WindowEvent& event, double phi) override {
     // For a sharded front-end, fold once per boundary and serve both the
     // report and any snapshot from the folded engine — extract() and
     // snapshot() would otherwise each quiesce and merge all replicas.
-    if (const auto* sharded = dynamic_cast<const ShardedHhhEngine*>(engine_.get())) {
+    if (const auto* sharded = dynamic_cast<const ShardedHhhEngine*>(summary_.get())) {
       folded_ = sharded->fold();
       return folded_->extract(phi);
     }
-    return engine_->extract(phi);
+    return summary_->report(event.end, phi);
   }
 
   void reset_state() override {
     folded_.reset();
-    engine_->reset();
+    summary_->reset();
   }
 
-  bool serializable() const override { return engine_->serializable(); }
+  bool serializable() const override { return summary_->serializable(); }
 
   std::vector<std::uint8_t> snapshot() const override {
     // A sharded front-end snapshots as its folded single-engine
@@ -51,18 +52,27 @@ class EngineStage final : public MeasurementStage {
     // undecodable — the folded frame carries the inner engine's mergeable
     // kind. The fold is cached from report() when this window close
     // already produced one.
-    if (const auto* sharded = dynamic_cast<const ShardedHhhEngine*>(engine_.get())) {
+    if (const auto* sharded = dynamic_cast<const ShardedHhhEngine*>(summary_.get())) {
       return wire::save_engine(folded_ ? *folded_ : *sharded->fold());
     }
-    return wire::save_engine(*engine_);
+    return wire::save_engine(*summary_);
   }
 
-  std::uint64_t total_bytes() const override { return engine_->total_bytes(); }
-  std::size_t memory_bytes() const override { return engine_->memory_bytes(); }
-  std::string name() const override { return "engine:" + engine_->name(); }
+  // Engines ignore the instant; a Memento window total never rewinds, so
+  // any instant in the newest frame reads the watermark's value; TDBF
+  // decays to the last arrival.
+  std::uint64_t total_bytes() const override {
+    return static_cast<std::uint64_t>(summary_->total(last_ts_));
+  }
+  std::size_t memory_bytes() const override { return summary_->memory_bytes(); }
+  std::string name() const override {
+    const bool engine = dynamic_cast<const HhhEngine*>(summary_.get()) != nullptr;
+    return engine ? "engine:" + summary_->name() : summary_->name();
+  }
 
  private:
-  std::unique_ptr<HhhEngine> engine_;
+  std::unique_ptr<HhhSummary> summary_;
+  TimePoint last_ts_;  // of the last ingested packet
   // The replicas folded at the current window close (sharded engines
   // only); invalidated by ingest/reset.
   mutable std::unique_ptr<HhhEngine> folded_;
@@ -116,83 +126,15 @@ class SlidingExactStage final : public MeasurementStage {
   std::uint64_t last_total_bytes_ = 0;  // of the most recent report
 };
 
-class MementoStage final : public MeasurementStage {
- public:
-  explicit MementoStage(std::unique_ptr<MementoDetector> detector)
-      : detector_(std::move(detector)) {
-    if (!detector_) throw std::invalid_argument("MementoStage: null detector");
-  }
-
-  void ingest(std::span<const PacketRecord> run) override {
-    detector_->offer_batch(run);
-  }
-
-  HhhSet report(const WindowEvent& event, double phi) override {
-    return detector_->query(event.end, phi);
-  }
-
-  bool serializable() const override { return true; }
-
-  std::vector<std::uint8_t> snapshot() const override {
-    return wire::save_memento(*detector_);
-  }
-
-  std::uint64_t total_bytes() const override {
-    return static_cast<std::uint64_t>(
-        detector_->window_total(detector_->high_watermark()));
-  }
-  std::size_t memory_bytes() const override { return detector_->memory_bytes(); }
-  std::string name() const override { return detector_->name(); }
-
- private:
-  std::unique_ptr<MementoDetector> detector_;
-};
-
-class TdbfStage final : public MeasurementStage {
- public:
-  explicit TdbfStage(const TimeDecayingHhhDetector::Params& params) : detector_(params) {}
-
-  void ingest(std::span<const PacketRecord> run) override {
-    for (const auto& p : run) {
-      detector_.offer(p);
-      last_ts_ = p.ts;
-    }
-  }
-
-  HhhSet report(const WindowEvent& event, double phi) override {
-    return detector_.query(event.end, phi);
-  }
-
-  std::uint64_t total_bytes() const override {
-    return static_cast<std::uint64_t>(detector_.decayed_total(last_ts_));
-  }
-  std::size_t memory_bytes() const override { return detector_.memory_bytes(); }
-  std::string name() const override { return "tdbf"; }
-
- private:
-  TimeDecayingHhhDetector detector_;
-  TimePoint last_ts_;
-};
-
 }  // namespace
 
-std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhEngine> engine) {
-  return std::make_unique<EngineStage>(std::move(engine));
+std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhSummary> summary) {
+  return std::make_unique<SummaryStage>(std::move(summary));
 }
 
 std::unique_ptr<MeasurementStage> make_sliding_exact_stage(
     const SlidingWindowHhhDetector::Params& params) {
   return std::make_unique<SlidingExactStage>(params);
-}
-
-std::unique_ptr<MeasurementStage> make_memento_stage(
-    std::unique_ptr<MementoDetector> detector) {
-  return std::make_unique<MementoStage>(std::move(detector));
-}
-
-std::unique_ptr<MeasurementStage> make_tdbf_stage(
-    const TimeDecayingHhhDetector::Params& params) {
-  return std::make_unique<TdbfStage>(params);
 }
 
 }  // namespace hhh::pipeline

@@ -7,14 +7,16 @@
 ///
 ///  * the policy decides *when* a report is due and whether closing it
 ///    resets the state (disjoint) or not (sliding/decaying);
-///  * the stage decides *how* the report is computed: extract() on a
-///    resettable HhhEngine, a trailing-window query on a Memento
-///    detector, a continuous-time query on decaying TDBF state, or the
-///    exact rolling sliding-window computation.
+///  * the stage decides *how* the report is computed: HhhSummary::report
+///    at the event's end — extract() on a resettable HhhEngine, a
+///    trailing-window query on a Memento detector, a continuous-time
+///    query on decaying TDBF state — or, for the one named exception,
+///    the exact rolling sliding-window computation.
 ///
 /// Stage + policy pairings mirror the paper's models: engine x disjoint
 /// (Fig. 1a), memento/sliding-exact x sliding (Fig. 1b), tdbf x query
-/// cadence (§3's windowless monitor).
+/// cadence (§3's windowless monitor). Every HhhSummary shares one
+/// adapter, make_engine_stage().
 #pragma once
 
 #include <cstdint>
@@ -24,15 +26,10 @@
 #include <vector>
 
 #include "core/hhh_types.hpp"
-#include "core/memento_hhh.hpp"
 #include "core/sliding_window.hpp"
-#include "core/tdbf_hhh.hpp"
+#include "core/summary.hpp"
 #include "net/packet.hpp"
 #include "pipeline/window_policy.hpp"
-
-namespace hhh {
-class HhhEngine;
-}  // namespace hhh
 
 namespace hhh::pipeline {
 
@@ -72,14 +69,21 @@ class MeasurementStage {
   /// Resident footprint of the measurement state.
   virtual std::size_t memory_bytes() const = 0;
 
-  /// Stable stage identifier ("engine:exact", "memento", ...).
+  /// Stable stage identifier ("engine:exact", "memento", "tdbf", ...).
   virtual std::string name() const = 0;
 };
 
-/// Wrap an HhhEngine (exact, rhhh, ancestry, univmon, sharded, ...) as a
-/// stage: report = extract(phi), reset_state = engine reset, snapshot =
-/// wire::save_engine. Pair with the disjoint policy.
-std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhEngine> engine);
+/// Wrap any HhhSummary as a stage: ingest = add_batch (one virtual call
+/// per run), report = report(event.end, phi), reset_state = reset(),
+/// snapshot = wire::save_engine, total_bytes = total() at the timestamp
+/// of the last ingested packet. Engines (exact, rhhh, ancestry, univmon,
+/// sharded, ...) pair with the disjoint policy. Memento detectors pair
+/// with the sliding policy (step <= window; step should divide the frame
+/// length W/frames so report boundaries align with frame boundaries);
+/// their reset() is a no-op. The TDBF detector pairs with the
+/// query-cadence policy and is not serializable. A sharded front-end is
+/// folded once per report and the fold also serves the snapshot.
+std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhSummary> summary);
 
 /// Exact sliding-window stage over SlidingWindowHhhDetector. The policy's
 /// sliding schedule must match the detector's (same window/step/
@@ -90,20 +94,5 @@ std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhEngine> e
 /// (std::logic_error). Not serializable.
 std::unique_ptr<MeasurementStage> make_sliding_exact_stage(
     const SlidingWindowHhhDetector::Params& params);
-
-/// Memento sliding-window stage: report = query(event.end, phi) over the
-/// trailing window; never resets; snapshots as a kMementoDetector frame.
-/// Takes the detector itself (v4 MementoHhhDetector or v6
-/// MementoHhhV6Detector) the way make_engine_stage takes an engine. Pair
-/// with the sliding policy (step <= window; step should divide the
-/// detector's frame length W/frames so report boundaries align with frame
-/// boundaries). Ingests through offer_batch — one virtual call per run.
-std::unique_ptr<MeasurementStage> make_memento_stage(
-    std::unique_ptr<MementoDetector> detector);
-
-/// Windowless TDBF stage: report = continuous-time query at event.end;
-/// never resets (state decays). Pair with the query-cadence policy.
-std::unique_ptr<MeasurementStage> make_tdbf_stage(
-    const TimeDecayingHhhDetector::Params& params);
 
 }  // namespace hhh::pipeline

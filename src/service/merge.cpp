@@ -15,16 +15,16 @@ double Thresholds::scope_phi(double scope_total) const {
 }
 
 Scope decode_scope(const wire::FrameView& frame, std::string label) {
-  return Scope{.label = std::move(label), .summary = wire::DecodedSummary::decode(frame)};
+  return Scope{.label = std::move(label), .summary = wire::load_engine(frame)};
 }
 
 MergeLedger::MergeLedger(Thresholds thresholds) : thresholds_(thresholds) {}
 
-void MergeLedger::merge_into_group(wire::DecodedSummary summary) {
-  const std::string key = summary.key();
-  for (wire::DecodedSummary& group : groups_) {
-    if (group.key() == key) {
-      group.merge_from(summary);
+void MergeLedger::merge_into_group(std::unique_ptr<HhhSummary> summary) {
+  const std::string key = summary->name();
+  for (const auto& group : groups_) {
+    if (group->name() == key) {
+      group->merge_from(*summary);
       return;
     }
   }
@@ -34,7 +34,9 @@ void MergeLedger::merge_into_group(wire::DecodedSummary summary) {
 HhhSet MergeLedger::fold(Scope scope) {
   // Extract the scope's local view BEFORE merging: what this single
   // vantage would report on its own is what defines "seen locally".
-  HhhSet local = scope.summary.report(thresholds_.scope_phi(scope.summary.total()));
+  HhhSummary& summary = *scope.summary;
+  const TimePoint at = summary.watermark();
+  HhhSet local = summary.report(at, thresholds_.scope_phi(summary.total(at)));
   seen_locally_.add(local.prefixes());
   merge_into_group(std::move(scope.summary));
   ++scopes_folded_;
@@ -42,7 +44,7 @@ HhhSet MergeLedger::fold(Scope scope) {
 }
 
 void MergeLedger::absorb(MergeLedger&& other) {
-  for (wire::DecodedSummary& incoming : other.groups_) {
+  for (auto& incoming : other.groups_) {
     merge_into_group(std::move(incoming));
   }
   seen_locally_.add(other.seen_locally_.values());
@@ -55,8 +57,10 @@ LedgerReport MergeLedger::report() {
   LedgerReport out;
   out.scopes_folded = scopes_folded_;
   PrefixUnion hidden;
-  for (wire::DecodedSummary& g : groups_) {
-    GroupReport group{.key = g.key(), .merged = g.report(thresholds_.scope_phi(g.total()))};
+  for (const auto& g : groups_) {
+    const TimePoint at = g->watermark();
+    GroupReport group{.key = g->name(),
+                      .merged = g->report(at, thresholds_.scope_phi(g->total(at)))};
     // The reveal: heavy in the merged view, reported by no single scope.
     hidden.add(prefix_difference(group.merged.prefixes(), seen_locally_.values()));
     out.groups.push_back(std::move(group));
@@ -68,16 +72,16 @@ LedgerReport MergeLedger::report() {
 std::vector<std::vector<std::uint8_t>> MergeLedger::save_group_frames() const {
   std::vector<std::vector<std::uint8_t>> frames;
   frames.reserve(groups_.size());
-  for (const wire::DecodedSummary& g : groups_) frames.push_back(g.frame());
+  for (const auto& g : groups_) frames.push_back(wire::save_engine(*g));
   return frames;
 }
 
 void MergeLedger::save_state(wire::Writer& w) const {
   w.u64(groups_.size());
-  for (const wire::DecodedSummary& g : groups_) {
-    const std::vector<std::uint8_t> frame = g.frame();
-    w.str(g.key());
-    wire::write_timepoint(w, g.watermark());
+  for (const auto& g : groups_) {
+    const std::vector<std::uint8_t> frame = wire::save_engine(*g);
+    w.str(g->name());
+    wire::write_timepoint(w, g->watermark());
     w.u64(frame.size());
     w.raw(frame.data(), frame.size());
   }
@@ -101,8 +105,8 @@ void MergeLedger::load_state(wire::Reader& r) {
     const wire::FrameView frame = wire::parse_frame(rest.subspan(0, len));
     wire::check(frame.frame_size == len, wire::WireError::kTrailingBytes,
                 "ledger group bytes continue past their frame");
-    wire::DecodedSummary summary = wire::DecodedSummary::decode(frame);
-    wire::check(summary.key() == key && summary.watermark() == watermark,
+    std::unique_ptr<HhhSummary> summary = wire::load_engine(frame);
+    wire::check(summary->name() == key && summary->watermark() == watermark,
                 wire::WireError::kBadValue,
                 "ledger group key or watermark disagrees with its frame");
     r.skip(len);

@@ -4,13 +4,14 @@
 /// file path and the socket path cannot drift.
 ///
 /// A ledger folds vantage *scopes* (decoded snapshot frames: one
-/// wire::DecodedSummary each — an engine or a Memento sliding detector)
-/// and maintains:
+/// HhhSummary each — an engine or a Memento sliding detector) and
+/// maintains:
 ///
-///   * per compatibility group (keyed by DecodedSummary::key(): the
-///     engine name, or "memento" / "memento_v6"), a running merged head
-///     via the same merge_from() semantics the sharded front-end uses
-///     in-process;
+///   * per compatibility group (keyed by HhhSummary::name(): the engine
+///     name, or "memento" / "memento_v6"), a running merged head via the
+///     same merge_from() semantics the sharded front-end uses in-process;
+///     every report is taken at the summary's watermark(), so a sliding
+///     head answers for the newest instant any of its inputs reached;
 ///   * the union of every scope's *locally extracted* HHH prefixes —
 ///     extraction happens inside fold(), before the scope is merged,
 ///     exactly like the tool's pre-merge extraction pass.
@@ -24,10 +25,12 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/hhh_types.hpp"
+#include "core/summary.hpp"
 #include "wire/snapshot.hpp"
 
 namespace hhh::service {
@@ -48,11 +51,11 @@ struct Thresholds {
 
 /// One decoded vantage contribution.
 struct Scope {
-  std::string label;             ///< origin (stats, logs)
-  wire::DecodedSummary summary;  ///< the vantage's engine or detector state
+  std::string label;                    ///< origin (stats, logs)
+  std::unique_ptr<HhhSummary> summary;  ///< the vantage's engine or detector state
 };
 
-/// Decode one snapshot frame into a Scope (wire::DecodedSummary::decode).
+/// Decode one snapshot frame into a Scope (wire::load_engine).
 /// Throws wire::WireFormatError on malformed payloads and for frame kinds
 /// that are not vantage state (stream-protocol frames, checkpoints, the
 /// retired kind 6).
@@ -120,10 +123,10 @@ class MergeLedger {
 
  private:
   /// Merge `summary` into the group of its key, or open a new group.
-  void merge_into_group(wire::DecodedSummary summary);
+  void merge_into_group(std::unique_ptr<HhhSummary> summary);
 
   Thresholds thresholds_;
-  std::vector<wire::DecodedSummary> groups_;  // one merged head per key
+  std::vector<std::unique_ptr<HhhSummary>> groups_;  // one merged head per name()
   PrefixUnion seen_locally_;
   std::size_t scopes_folded_ = 0;
 };

@@ -3,10 +3,8 @@
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
-#include <utility>
 
 #include "core/ancestry_hhh.hpp"
-#include "core/engine.hpp"
 #include "core/exact_engine.hpp"
 #include "core/memento_hhh.hpp"
 #include "core/rhhh.hpp"
@@ -123,12 +121,12 @@ FrameScan scan_frame(std::span<const std::uint8_t> buffer, std::size_t max_paylo
   return FrameScan{.complete = true, .bytes_needed = frame_size};
 }
 
-SnapshotKind engine_snapshot_kind(const HhhEngine& engine) {
-  if (!engine.serializable()) {
+SnapshotKind engine_snapshot_kind(const HhhSummary& summary) {
+  if (!summary.serializable()) {
     throw WireFormatError(WireError::kUnsupportedEngine,
-                          "engine '" + engine.name() + "' is not serializable");
+                          "'" + summary.name() + "' is not serializable");
   }
-  const std::string name = engine.name();
+  const std::string name = summary.name();
   if (name == "exact" || name == "exact_v6") return SnapshotKind::kExactEngine;
   if (name == "rhhh" || name == "hss" || name == "rhhh_v6" || name == "hss_v6") {
     return SnapshotKind::kRhhhEngine;
@@ -136,40 +134,37 @@ SnapshotKind engine_snapshot_kind(const HhhEngine& engine) {
   if (name == "ancestry") return SnapshotKind::kAncestryEngine;
   if (name == "univmon") return SnapshotKind::kUnivmonEngine;
   if (name.starts_with("sharded_")) return SnapshotKind::kShardedEngine;
+  if (name == "memento" || name == "memento_v6") return SnapshotKind::kMementoDetector;
   throw WireFormatError(WireError::kUnsupportedEngine,
-                        "no snapshot kind for engine '" + name + "'");
+                        "no snapshot kind for '" + name + "'");
 }
 
-std::vector<std::uint8_t> save_engine(const HhhEngine& engine) {
-  const SnapshotKind kind = engine_snapshot_kind(engine);
+std::vector<std::uint8_t> save_engine(const HhhSummary& summary) {
+  const SnapshotKind kind = engine_snapshot_kind(summary);
   std::vector<std::uint8_t> payload;
   Writer w(payload);
-  engine.save_state(w);
+  summary.save_state(w);
   return build_frame(kind, payload);
 }
 
-std::vector<std::uint8_t> save_memento(const MementoDetector& detector) {
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  detector.save_state(w);
-  return build_frame(SnapshotKind::kMementoDetector, payload);
-}
-
-std::unique_ptr<HhhEngine> load_engine(const FrameView& frame) {
+std::unique_ptr<HhhSummary> load_engine(const FrameView& frame) {
   Reader r(frame.payload, frame.version);
-  std::unique_ptr<HhhEngine> engine;
+  std::unique_ptr<HhhSummary> summary;
   switch (frame.kind) {
     case SnapshotKind::kExactEngine:
-      engine = deserialize_exact_engine(r);
+      summary = deserialize_exact_engine(r);
       break;
     case SnapshotKind::kRhhhEngine:
-      engine = deserialize_rhhh_engine(r);
+      summary = deserialize_rhhh_engine(r);
       break;
     case SnapshotKind::kAncestryEngine:
-      engine = AncestryHhhEngine::deserialize(r);
+      summary = AncestryHhhEngine::deserialize(r);
       break;
     case SnapshotKind::kUnivmonEngine:
-      engine = UnivmonHhhEngine::deserialize(r);
+      summary = UnivmonHhhEngine::deserialize(r);
+      break;
+    case SnapshotKind::kMementoDetector:
+      summary = deserialize_memento_detector(r);
       break;
     case SnapshotKind::kShardedEngine:
       throw WireFormatError(
@@ -179,83 +174,28 @@ std::unique_ptr<HhhEngine> load_engine(const FrameView& frame) {
     default:
       throw WireFormatError(WireError::kUnsupportedEngine,
                             std::string("frame kind '") + to_string(frame.kind) +
-                                "' is not an engine snapshot");
+                                "' is not a summary snapshot");
   }
-  check(r.done(), WireError::kTrailingBytes, "payload continues past engine state");
-  return engine;
+  check(r.done(), WireError::kTrailingBytes, "payload continues past summary state");
+  return summary;
 }
 
-std::unique_ptr<HhhEngine> load_engine(std::span<const std::uint8_t> buffer) {
+std::unique_ptr<HhhSummary> load_engine(std::span<const std::uint8_t> buffer) {
   const FrameView frame = parse_frame(buffer);
   check(frame.frame_size == buffer.size(), WireError::kTrailingBytes,
         "buffer continues past the frame");
   return load_engine(frame);
 }
 
-DecodedSummary::DecodedSummary(std::unique_ptr<HhhEngine> engine)
-    : engine_(std::move(engine)) {
-  if (!engine_) throw std::invalid_argument("DecodedSummary: null engine");
-}
-
-DecodedSummary::DecodedSummary(std::unique_ptr<MementoDetector> detector)
-    : memento_(std::move(detector)) {
-  if (!memento_) throw std::invalid_argument("DecodedSummary: null detector");
-}
-
-DecodedSummary::DecodedSummary(DecodedSummary&&) noexcept = default;
-DecodedSummary& DecodedSummary::operator=(DecodedSummary&&) noexcept = default;
-DecodedSummary::~DecodedSummary() = default;
-
-DecodedSummary DecodedSummary::decode(const FrameView& frame) {
-  if (frame.kind != SnapshotKind::kMementoDetector) return DecodedSummary(load_engine(frame));
-  Reader r(frame.payload, frame.version);
-  DecodedSummary summary(deserialize_memento_detector(r));
-  check(r.done(), WireError::kTrailingBytes, "payload continues past detector state");
-  return summary;
-}
-
-std::string DecodedSummary::key() const {
-  return engine_ ? engine_->name() : memento_->name();
-}
-
-TimePoint DecodedSummary::watermark() const noexcept {
-  return memento_ ? memento_->high_watermark() : TimePoint();
-}
-
-double DecodedSummary::total() {
-  return engine_ ? static_cast<double>(engine_->total_bytes())
-                 : memento_->window_total(memento_->high_watermark());
-}
-
-HhhSet DecodedSummary::report(double phi) {
-  return engine_ ? engine_->extract(phi) : memento_->query(memento_->high_watermark(), phi);
-}
-
-void DecodedSummary::merge_from(const DecodedSummary& other) {
-  if (sliding() != other.sliding()) {
-    throw std::invalid_argument("cannot merge '" + other.key() + "' into '" + key() +
-                                "': engine and sliding-window states do not mix");
-  }
-  if (engine_) {
-    engine_->merge_from(*other.engine_);
-  } else {
-    memento_->merge_from(*other.memento_);
-  }
-}
-
-std::vector<std::uint8_t> DecodedSummary::frame() const {
-  return engine_ ? save_engine(*engine_) : save_memento(*memento_);
-}
-
-void load_engine_into(std::span<const std::uint8_t> buffer, HhhEngine& engine) {
+void load_engine_into(std::span<const std::uint8_t> buffer, HhhSummary& summary) {
   const FrameView frame = parse_frame(buffer);
   check(frame.frame_size == buffer.size(), WireError::kTrailingBytes,
         "buffer continues past the frame");
-  check(frame.kind == engine_snapshot_kind(engine), WireError::kParamsMismatch,
-        "snapshot kind does not match the receiving engine");
+  check(frame.kind == engine_snapshot_kind(summary), WireError::kParamsMismatch,
+        "snapshot kind does not match the receiving summary");
   Reader r(frame.payload, frame.version);
-  engine.load_state(r);
-  check(r.done(), WireError::kTrailingBytes, "payload continues past engine state");
+  summary.load_state(r);
+  check(r.done(), WireError::kTrailingBytes, "payload continues past summary state");
 }
 
 void write_file(const std::string& path, std::span<const std::uint8_t> bytes) {

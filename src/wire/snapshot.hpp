@@ -41,8 +41,7 @@
 #include "wire/wire.hpp"
 
 namespace hhh {
-class HhhEngine;
-class MementoDetector;
+class HhhSummary;
 }  // namespace hhh
 
 namespace hhh::wire {
@@ -131,86 +130,37 @@ struct FrameScan {
 FrameScan scan_frame(std::span<const std::uint8_t> buffer,
                      std::size_t max_payload = kMaxStreamPayloadBytes);
 
-/// The SnapshotKind a serializable engine's snapshot carries, derived
-/// from the engine's stable name(). Throws WireFormatError
-/// (kUnsupportedEngine) for engines that are not serializable.
-SnapshotKind engine_snapshot_kind(const HhhEngine& engine);
+/// The SnapshotKind a serializable summary's snapshot carries, derived
+/// from its stable name(): the one name → kind table (engines, plus
+/// "memento" / "memento_v6" → kMementoDetector). Throws WireFormatError
+/// (kUnsupportedEngine) for summaries that are not serializable.
+SnapshotKind engine_snapshot_kind(const HhhSummary& summary);
 
-/// Serialize `engine` into one framed snapshot.
-std::vector<std::uint8_t> save_engine(const HhhEngine& engine);
+/// Serialize `summary` (an engine or a Memento detector) into one framed
+/// snapshot.
+std::vector<std::uint8_t> save_engine(const HhhSummary& summary);
 
-/// Serialize a Memento sliding-window detector into one kMementoDetector
-/// frame.
-std::vector<std::uint8_t> save_memento(const MementoDetector& detector);
-
-/// Construct a new engine from a snapshot frame. `buffer` must contain
+/// Construct a new summary from a snapshot frame. `buffer` must contain
 /// exactly one frame (kTrailingBytes otherwise — use parse_frame for
-/// streams). Sharded snapshots are rejected with kUnsupportedEngine:
-/// their factory cannot travel, restore them with load_engine_into().
-std::unique_ptr<HhhEngine> load_engine(std::span<const std::uint8_t> buffer);
+/// streams).
+std::unique_ptr<HhhSummary> load_engine(std::span<const std::uint8_t> buffer);
 
-/// Construct a new engine from an already-validated frame.
-std::unique_ptr<HhhEngine> load_engine(const FrameView& frame);
+/// Construct a new summary from an already-validated frame: the one
+/// kind → constructor switch, shared by the collector's MergeLedger and
+/// the pipeline's FrameRing. Engine kinds build their engine and
+/// kMementoDetector builds a v4 or v6 detector. Kinds that carry no
+/// vantage state (stream frames, checkpoints, the TDBF checkpoint,
+/// retired kinds 6 and 8) and sharded snapshots (their factory cannot
+/// travel: restore them with load_engine_into()) throw
+/// WireFormatError(kUnsupportedEngine); payload bytes past the state
+/// throw kTrailingBytes.
+std::unique_ptr<HhhSummary> load_engine(const FrameView& frame);
 
-/// One decoded vantage state: either an HhhEngine (disjoint windows) or
-/// a Memento sliding-window detector (kMementoDetector). It is the one
-/// place that branches on the state family — the collector's MergeLedger
-/// and the pipeline's FrameRing both merge and report through it.
-///
-/// A sliding state is queried at its watermark: the start of the newest
-/// frame it observed (MementoDetector::high_watermark(); TimePoint() for
-/// engines). Memento merges advance the watermark to the later of the
-/// two, so a merged summary answers for the newest instant any of its
-/// inputs reached.
-class DecodedSummary {
- public:
-  /// Wrap an engine; throws std::invalid_argument on null.
-  explicit DecodedSummary(std::unique_ptr<HhhEngine> engine);
-  /// Wrap a Memento detector; throws std::invalid_argument on null.
-  explicit DecodedSummary(std::unique_ptr<MementoDetector> detector);
-  /// Move-only: a summary owns its state.
-  DecodedSummary(DecodedSummary&&) noexcept;
-  /// Move-only: a summary owns its state.
-  DecodedSummary& operator=(DecodedSummary&&) noexcept;
-  /// Defined where the state types are complete.
-  ~DecodedSummary();
-
-  /// Decode one vantage-state frame: kMementoDetector into a detector,
-  /// every other kind through load_engine(). Kinds that carry no vantage
-  /// state (stream frames, checkpoints, sharded snapshots, retired kind
-  /// 6) throw WireFormatError(kUnsupportedEngine); payload bytes past
-  /// the state throw kTrailingBytes.
-  static DecodedSummary decode(const FrameView& frame);
-
-  /// Compatibility key: the engine's name, or "memento" / "memento_v6".
-  std::string key() const;
-  /// True for sliding-window state (Memento), false for engines.
-  bool sliding() const noexcept { return memento_ != nullptr; }
-  /// The query instant of a sliding state; TimePoint() for engines.
-  TimePoint watermark() const noexcept;
-  /// Bytes in scope: the engine's total, or the detector's exact window
-  /// total at the watermark. Drives absolute-threshold mode.
-  double total();
-  /// HHHs at relative threshold `phi`: extract(phi) for engines,
-  /// query(watermark, phi) for detectors. Non-const: sliding queries
-  /// advance expiry bookkeeping.
-  HhhSet report(double phi);
-  /// Fold `other` into this state (merge_from of the family). Throws
-  /// std::invalid_argument across families or on a params mismatch.
-  void merge_from(const DecodedSummary& other);
-  /// The state serialized as one snapshot frame (decode() inverts it).
-  std::vector<std::uint8_t> frame() const;
-
- private:
-  std::unique_ptr<HhhEngine> engine_;
-  std::unique_ptr<MementoDetector> memento_;
-};
-
-/// Restore a snapshot into an existing, identically-configured engine —
+/// Restore a snapshot into an existing, identically-configured summary —
 /// the checkpoint/restore path, and the only restore path for sharded
-/// engines. Validates that the frame kind matches the receiving engine
+/// engines. Validates that the frame kind matches the receiving summary
 /// (kParamsMismatch otherwise) and that the payload is fully consumed.
-void load_engine_into(std::span<const std::uint8_t> buffer, HhhEngine& engine);
+void load_engine_into(std::span<const std::uint8_t> buffer, HhhSummary& summary);
 
 /// Write `bytes` to `path` atomically enough for checkpoints (write to
 /// path + ".tmp", then rename). Throws std::runtime_error on I/O errors.

@@ -1,32 +1,32 @@
-// Snapshot-conformance suite: every engine in the conformance registry
-// automatically gets the serialize→deserialize→extract golden-diff sweep
-// and the collector-equivalence check. The per-engine logic lives in
+// Snapshot-conformance suite: every engine in the conformance registry,
+// plus the two Memento sliding detectors, automatically gets the
+// serialize→deserialize→report golden-diff sweep and the
+// collector-equivalence check. The per-summary logic lives in
 // tests/harness/snapshot_axis.cpp — registering an engine in
 // tests/harness/engine_registry.cpp is all a new engine needs to do.
 #include <gtest/gtest.h>
 
-#include "harness/engine_registry.hpp"
 #include "harness/snapshot_axis.hpp"
 
 namespace hhh {
 namespace {
 
-using harness::conformance_engines;
+using harness::snapshot_cases;
 
-class EngineSnapshotConformance : public ::testing::TestWithParam<std::size_t> {};
+class SummarySnapshotConformance : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(EngineSnapshotConformance, RoundTripPreservesExtractAndBehaviour) {
-  harness::run_snapshot_roundtrip_case(conformance_engines()[GetParam()]);
+TEST_P(SummarySnapshotConformance, RoundTripPreservesReportAndBehaviour) {
+  harness::run_snapshot_roundtrip_case(snapshot_cases()[GetParam()]);
 }
 
-TEST_P(EngineSnapshotConformance, WireMergeEqualsInProcessMerge) {
-  harness::run_snapshot_merge_case(conformance_engines()[GetParam()]);
+TEST_P(SummarySnapshotConformance, WireMergeEqualsInProcessMerge) {
+  harness::run_snapshot_merge_case(snapshot_cases()[GetParam()]);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllEngines, EngineSnapshotConformance,
-                         ::testing::Range<std::size_t>(0, conformance_engines().size()),
+INSTANTIATE_TEST_SUITE_P(AllSummaries, SummarySnapshotConformance,
+                         ::testing::Range<std::size_t>(0, snapshot_cases().size()),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
-                           return harness::conformance_engine_name(info.param);
+                           return snapshot_cases()[info.param].name;
                          });
 
 }  // namespace

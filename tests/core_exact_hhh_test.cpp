@@ -213,7 +213,7 @@ TEST(ExactHhh, ReportOrderIsCanonicalAcrossTableHistories) {
 
   // Decode sizes each level map from its entry count, not from history.
   const auto restored = wire::load_engine(wire::save_engine(engine));
-  EXPECT_EQ(restored->extract(phi).items(), grown.items());
+  EXPECT_EQ(restored->report(TimePoint(), phi).items(), grown.items());
 
   // reset() keeps the capacity a wider window grew the maps to.
   engine.reset();

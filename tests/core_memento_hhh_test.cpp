@@ -49,7 +49,7 @@ TEST(MementoHhh, SteadyHeavySourceDetected) {
     det.offer(pkt(i * 0.005, ip("10.1.2.3"), 700));
     det.offer(pkt(i * 0.005, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
   }
-  const auto result = det.query(at(20.0), 0.3);
+  const auto result = det.report(at(20.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("10.1.2.3/32")));
 }
 
@@ -61,11 +61,11 @@ TEST(MementoHhh, SharpWindowExpiryAtFrameStep) {
   for (int i = 0; i < 400; ++i) det.offer(pkt(i * 0.005, ip("66.6.6.6"), 1000));
   for (int i = 0; i < 440; ++i) det.offer(pkt(2.0 + i * 0.01, ip("50.0.0.1"), 200));
 
-  const auto before = det.query(at(6.5), 0.3);
+  const auto before = det.report(at(6.5), 0.3);
   EXPECT_TRUE(contains(before, pfx("66.6.6.6/32")));
 
   for (int i = 0; i < 100; ++i) det.offer(pkt(6.5 + i * 0.01, ip("50.0.0.1"), 200));
-  const auto after = det.query(at(7.5), 0.3);
+  const auto after = det.report(at(7.5), 0.3);
   EXPECT_FALSE(contains(after, pfx("66.6.6.6/32")));
   EXPECT_TRUE(contains(after, pfx("50.0.0.1/32")));
 }
@@ -81,7 +81,7 @@ TEST(MementoHhh, HierarchicalAggregation) {
     det.offer(pkt(t, ip("10.1.2.4"), 120));
     det.offer(pkt(t, ip("99.0.0.1"), 520));
   }
-  const auto result = det.query(at(15.0), 0.3);
+  const auto result = det.report(at(15.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("10.1.2.0/24")));
   EXPECT_FALSE(contains(result, pfx("10.1.2.1/32")));
 }
@@ -105,7 +105,7 @@ TEST(MementoHhh, RecallAgainstExactSlidingWindow) {
     if (p.ts >= at(30.0)) trailing.add(p.src(), p.ip_len);
   }
   const auto exact = extract_hhh_relative(trailing, 0.05);
-  const auto approx = det.query(at(40.0), 0.05);
+  const auto approx = det.report(at(40.0), 0.05);
   const auto approx_prefixes = approx.prefixes();
   std::size_t recalled = 0;
   for (const auto& p : exact.prefixes()) {
@@ -124,11 +124,11 @@ TEST(MementoHhh, WindowTotalIsExactRegardlessOfSampling) {
     det.offer(pkt(5.0 + i * 0.0005, ip("10.0.0.1"), 100 + i % 7));
     sum += 100 + i % 7;
   }
-  EXPECT_DOUBLE_EQ(det.window_total(at(7.5)), sum);
+  EXPECT_DOUBLE_EQ(det.total(at(7.5)), sum);
 }
 
 TEST(MementoHhh, OfferBatchMatchesOfferTotalsAndDetection) {
-  // offer_batch draws levels with the amortized two-halves scheme, so the
+  // add_batch draws levels with the amortized two-halves scheme, so the
   // summaries are not byte-identical to offer() — but window totals are
   // exact on both paths and both detect the same heavy source.
   std::vector<PacketRecord> packets;
@@ -138,10 +138,10 @@ TEST(MementoHhh, OfferBatchMatchesOfferTotalsAndDetection) {
   }
   MementoHhhDetector one({}), batched({});
   for (const auto& p : packets) one.offer(p);
-  batched.offer_batch(packets);
-  EXPECT_DOUBLE_EQ(one.window_total(at(10.0)), batched.window_total(at(10.0)));
-  EXPECT_TRUE(contains(one.query(at(10.0), 0.3), pfx("10.1.2.3/32")));
-  EXPECT_TRUE(contains(batched.query(at(10.0), 0.3), pfx("10.1.2.3/32")));
+  batched.add_batch(packets);
+  EXPECT_DOUBLE_EQ(one.total(at(10.0)), batched.total(at(10.0)));
+  EXPECT_TRUE(contains(one.report(at(10.0), 0.3), pfx("10.1.2.3/32")));
+  EXPECT_TRUE(contains(batched.report(at(10.0), 0.3), pfx("10.1.2.3/32")));
 }
 
 TEST(MementoHhh, MergeCombinesVantages) {
@@ -154,11 +154,11 @@ TEST(MementoHhh, MergeCombinesVantages) {
     b.offer(pkt(t, ip("99.9.9.9"), 600));
     b.offer(pkt(t, ip("60.0.0.1"), 400));
   }
-  const double total_a = a.window_total(at(9.0));
-  const double total_b = b.window_total(at(9.0));
+  const double total_a = a.total(at(9.0));
+  const double total_b = b.total(at(9.0));
   a.merge_from(b);
-  EXPECT_DOUBLE_EQ(a.window_total(at(9.0)), total_a + total_b);
-  const auto merged = a.query(a.high_watermark(), 0.2);
+  EXPECT_DOUBLE_EQ(a.total(at(9.0)), total_a + total_b);
+  const auto merged = a.report(a.watermark(), 0.2);
   EXPECT_TRUE(contains(merged, pfx("10.1.2.3/32")));
   EXPECT_TRUE(contains(merged, pfx("99.9.9.9/32")));
 }
@@ -184,16 +184,16 @@ TEST(MementoHhh, SnapshotRoundTripPreservesQueries) {
   auto restored = deserialize_memento_detector(r);
   EXPECT_TRUE(r.done());
   EXPECT_EQ(restored->name(), "memento");
-  EXPECT_EQ(restored->high_watermark(), det.high_watermark());
-  const TimePoint now = det.high_watermark();
-  EXPECT_DOUBLE_EQ(restored->window_total(now), det.window_total(now));
-  EXPECT_TRUE(harness::hhh_sets_equal(det.query(now, 0.1), restored->query(now, 0.1)));
+  EXPECT_EQ(restored->watermark(), det.watermark());
+  const TimePoint now = det.watermark();
+  EXPECT_DOUBLE_EQ(restored->total(now), det.total(now));
+  EXPECT_TRUE(harness::hhh_sets_equal(det.report(now, 0.1), restored->report(now, 0.1)));
 
   // load_state restores into an identically-configured detector...
   MementoHhhDetector twin({.window = Duration::seconds(10), .frames = 8});
   wire::Reader r2(payload);
   twin.load_state(r2);
-  EXPECT_TRUE(harness::hhh_sets_equal(det.query(now, 0.1), twin.query(now, 0.1)));
+  EXPECT_TRUE(harness::hhh_sets_equal(det.report(now, 0.1), twin.report(now, 0.1)));
 
   // ...and refuses a mismatched one.
   MementoHhhDetector wrong({.window = Duration::seconds(10), .frames = 4});
@@ -210,12 +210,12 @@ TEST(MementoHhh, V6DetectorFindsHeavyPrefix) {
     det.offer(pkt6(t, i % 2 ? "fd00::1" : "fd00::2", 300));
   }
   EXPECT_EQ(det.name(), "memento_v6");
-  const auto result = det.query(at(10.0), 0.3);
+  const auto result = det.report(at(10.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("2001:db8::1/128")));
   // v4 packets are ignored by the v6 detector.
-  const double before = det.window_total(at(10.0));
+  const double before = det.total(at(10.0));
   det.offer(pkt(10.0, ip("10.0.0.1"), 100));
-  EXPECT_DOUBLE_EQ(det.window_total(at(10.0)), before);
+  EXPECT_DOUBLE_EQ(det.total(at(10.0)), before);
 }
 
 TEST(MementoHhh, BoundedMemoryUnderDistinctFlood) {

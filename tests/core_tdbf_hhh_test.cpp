@@ -40,7 +40,7 @@ TEST(TdbfHhh, SteadyHeavySourceIsDetectedAtAnyInstant) {
   }
   // Query at several arbitrary instants — windowless detection.
   for (const double q : {20.0, 25.7, 33.333, 39.99}) {
-    const auto result = det.query(at(q), 0.3);
+    const auto result = det.report(at(q), 0.3);
     const auto prefixes = result.prefixes();
     EXPECT_TRUE(std::binary_search(prefixes.begin(), prefixes.end(), pfx("10.1.2.3/32")))
         << "query at t=" << q;
@@ -53,10 +53,10 @@ TEST(TdbfHhh, FinishedBurstFadesWithoutReset) {
   for (int i = 0; i < 1000; ++i) det.offer(pkt(i * 0.01, ip("66.6.6.6"), 1000));
   for (int i = 0; i < 3000; ++i) det.offer(pkt(10.0 + i * 0.01, ip("50.0.0.1"), 200));
 
-  const auto during = det.query(at(10.0), 0.3).prefixes();
+  const auto during = det.report(at(10.0), 0.3).prefixes();
   EXPECT_TRUE(std::binary_search(during.begin(), during.end(), pfx("66.6.6.6/32")));
 
-  const auto after = det.query(at(40.0), 0.3).prefixes();
+  const auto after = det.report(at(40.0), 0.3).prefixes();
   EXPECT_FALSE(std::binary_search(after.begin(), after.end(), pfx("66.6.6.6/32")))
       << "decayed burst should no longer dominate";
   EXPECT_TRUE(std::binary_search(after.begin(), after.end(), pfx("50.0.0.1/32")));
@@ -74,7 +74,7 @@ TEST(TdbfHhh, HierarchicalAggregationAcrossLevels) {
     det.offer(pkt(t, ip("10.1.2.4"), 120));
     det.offer(pkt(t, ip("99.0.0.1"), 520));
   }
-  const auto result = det.query(at(30.0), 0.3);
+  const auto result = det.report(at(30.0), 0.3);
   const auto prefixes = result.prefixes();
   EXPECT_TRUE(std::binary_search(prefixes.begin(), prefixes.end(), pfx("10.1.2.0/24")));
   EXPECT_TRUE(std::binary_search(prefixes.begin(), prefixes.end(), pfx("99.0.0.1/32")));
@@ -85,7 +85,7 @@ TEST(TdbfHhh, DecayedTotalTracksRecentRate) {
   TimeDecayingHhhDetector det(TimeDecayingHhhDetector::for_window(Duration::seconds(10)));
   // Steady 100 kB/s for 60 s: decayed total ~ rate * tau_eff = 100k * 10.
   for (int i = 0; i < 60000; ++i) det.offer(pkt(i * 0.001, ip("10.0.0.1"), 100));
-  EXPECT_NEAR(det.decayed_total(at(60.0)), 1e6, 1e6 * 0.05);
+  EXPECT_NEAR(det.total(at(60.0)), 1e6, 1e6 * 0.05);
 }
 
 TEST(TdbfHhh, AgreesWithExactSlidingWindowOnStationaryTraffic) {
@@ -121,7 +121,7 @@ TEST(TdbfHhh, AgreesWithExactSlidingWindowOnStationaryTraffic) {
     if (p->ts >= at(50.0)) trailing.add(p->src(), p->ip_len);
   }
   const auto exact = extract_hhh_relative(trailing, 0.05);
-  const auto decayed = det.query(at(60.0), 0.05);
+  const auto decayed = det.report(at(60.0), 0.05);
 
   // Recall: the decayed view must find the great majority of the exact
   // window's HHHs (boundary items may differ: the views are not identical).
@@ -137,7 +137,7 @@ TEST(TdbfHhh, AgreesWithExactSlidingWindowOnStationaryTraffic) {
 TEST(TdbfHhh, ThresholdRelativeToDecayedTotal) {
   TimeDecayingHhhDetector det(TimeDecayingHhhDetector::for_window(Duration::seconds(10)));
   for (int i = 0; i < 1000; ++i) det.offer(pkt(i * 0.01, ip("10.0.0.1"), 100));
-  const auto result = det.query(at(10.0), 0.1);
+  const auto result = det.report(at(10.0), 0.1);
   EXPECT_GT(result.threshold_bytes, 0u);
   EXPECT_NEAR(static_cast<double>(result.threshold_bytes),
               0.1 * static_cast<double>(result.total_bytes),
@@ -168,7 +168,7 @@ TEST(TdbfHhh, CatchesBoundaryStraddlingBurstThatDisjointMisses) {
 
   // At t=12 the decayed mass of the burst is near its 40 kB peak while the
   // decayed total is ~ background*tau + burst: phi=0.25 is crossed.
-  const auto result = det.query(at(12.0), 0.25);
+  const auto result = det.report(at(12.0), 0.25);
   const auto prefixes = result.prefixes();
   EXPECT_TRUE(std::binary_search(prefixes.begin(), prefixes.end(), pfx("66.6.6.6/32")));
 }

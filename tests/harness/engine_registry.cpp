@@ -1,5 +1,7 @@
 #include "harness/engine_registry.hpp"
 
+#include <stdexcept>
+
 #include "core/engine_registry.hpp"
 
 namespace hhh::harness {
@@ -23,6 +25,13 @@ const std::vector<EngineCase>& conformance_engines() {
 
 std::string conformance_engine_name(std::size_t index) {
   return conformance_engines()[index].name;
+}
+
+std::unique_ptr<HhhEngine> as_engine(std::unique_ptr<HhhSummary> summary) {
+  auto* engine = dynamic_cast<HhhEngine*>(summary.get());
+  if (engine == nullptr) throw std::logic_error("decoded summary is not an engine");
+  summary.release();
+  return std::unique_ptr<HhhEngine>(engine);
 }
 
 }  // namespace hhh::harness

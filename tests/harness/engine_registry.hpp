@@ -36,4 +36,9 @@ const std::vector<EngineCase>& conformance_engines();
 /// Name for gtest's INSTANTIATE_TEST_SUITE_P labelling.
 std::string conformance_engine_name(std::size_t index);
 
+/// The engine a decoded frame must hold (wire::load_engine returns an
+/// HhhSummary), for tests of engine-only API such as extract(); throws
+/// std::logic_error when the summary is not an engine.
+std::unique_ptr<HhhEngine> as_engine(std::unique_ptr<HhhSummary> summary);
+
 }  // namespace hhh::harness

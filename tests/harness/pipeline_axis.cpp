@@ -149,9 +149,10 @@ void run_pipeline_snapshot_case(const EngineCase& engine_case) {
   for (std::size_t i = 0; i < frames.size(); ++i) {
     // Each frame decodes standalone and re-extracts the window's report —
     // the collector-side invariant of per-window vantage streaming.
-    auto engine = wire::load_engine(frames[i]);
-    EXPECT_EQ(engine->total_bytes(), collect.reports()[i].hhhs.total_bytes);
-    EXPECT_TRUE(hhh_sets_equal(collect.reports()[i].hhhs, engine->extract(kPhi)))
+    auto summary = wire::load_engine(frames[i]);
+    EXPECT_EQ(static_cast<std::uint64_t>(summary->total(TimePoint())),
+              collect.reports()[i].hhhs.total_bytes);
+    EXPECT_TRUE(hhh_sets_equal(collect.reports()[i].hhhs, summary->report(TimePoint(), kPhi)))
         << "window " << i;
   }
 }

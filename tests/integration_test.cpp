@@ -94,7 +94,7 @@ TEST(Integration, TdbfRecoversHiddenHhhs) {
   for (const auto& p : packets) {
     tdbf.offer(p);
     if (p.ts >= next_query) {  // query cadence = the sliding step (1 s)
-      tdbf_union.add(tdbf.query(p.ts, params.phi).prefixes());
+      tdbf_union.add(tdbf.report(p.ts, params.phi).prefixes());
       next_query += Duration::seconds(1);
     }
   }

@@ -49,7 +49,7 @@ TEST(FrameRing, IntervalQueryEqualsOfflineMergeOfCoveredFrames) {
   ASSERT_GE(selected.size(), 3u);
 
   // Offline re-merge of the exact frames the ring says it would use.
-  std::unique_ptr<HhhEngine> offline;
+  std::unique_ptr<HhhSummary> offline;
   for (const RetainedFrame* f : selected) {
     auto engine = wire::load_engine(f->frame);
     if (!offline) {
@@ -58,7 +58,7 @@ TEST(FrameRing, IntervalQueryEqualsOfflineMergeOfCoveredFrames) {
       offline->merge_from(*engine);
     }
   }
-  const HhhSet expected = offline->extract(0.05);
+  const HhhSet expected = offline->report(TimePoint(), 0.05);
 
   const IntervalReport report = ring.query_interval(t1, t2, 0.05);
   EXPECT_EQ(report.frames_merged, selected.size());
@@ -153,7 +153,7 @@ TEST(FrameRing, ServesMementoDetectorFrames) {
   config.finish_at = end;
   FrameRing ring(1024);
   Pipeline pipe(make_span_source(packets),
-                make_memento_stage(std::make_unique<MementoHhhDetector>(params)),
+                make_engine_stage(std::make_unique<MementoHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   pipe.add_sink(make_frame_ring_sink(&ring));
   pipe.run();
@@ -165,21 +165,21 @@ TEST(FrameRing, ServesMementoDetectorFrames) {
   ASSERT_GE(selected.size(), 2u);
 
   // Offline merge through the detector's own decode path.
-  std::unique_ptr<MementoDetector> offline;
+  std::unique_ptr<HhhSummary> offline;
   TimePoint watermark;
   for (const RetainedFrame* f : selected) {
     const wire::FrameView view = wire::parse_frame(f->frame);
     ASSERT_EQ(view.kind, wire::SnapshotKind::kMementoDetector);
     wire::Reader r(view.payload, view.version);
     auto det = deserialize_memento_detector(r);
-    watermark = std::max(watermark, det->high_watermark());
+    watermark = std::max(watermark, det->watermark());
     if (!offline) {
       offline = std::move(det);
     } else {
       offline->merge_from(*det);
     }
   }
-  const HhhSet expected = offline->query(watermark, 0.05);
+  const HhhSet expected = offline->report(watermark, 0.05);
 
   const IntervalReport report = ring.query_interval(t1, t2, 0.05);
   EXPECT_EQ(report.group, "memento");

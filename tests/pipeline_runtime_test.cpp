@@ -17,6 +17,7 @@
 #include "core/exact_engine.hpp"
 #include "core/memento_hhh.hpp"
 #include "core/sliding_window.hpp"
+#include "core/tdbf_hhh.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "net/pcap.hpp"
@@ -353,7 +354,7 @@ TEST(SnapshotStreamTest, PerWindowFramesMergeBackToTheWholeStream) {
   ASSERT_GE(stats.windows_closed, 2u);
 
   auto reader = SnapshotFrameReader::from_file(path.string());
-  std::unique_ptr<HhhEngine> merged;
+  std::unique_ptr<HhhSummary> merged;
   std::size_t frames = 0;
   while (const auto frame = reader.next()) {
     auto engine = wire::load_engine(*frame);
@@ -370,8 +371,9 @@ TEST(SnapshotStreamTest, PerWindowFramesMergeBackToTheWholeStream) {
   // the whole stream.
   auto offline = make_exact_engine(Hierarchy::byte_granularity());
   offline->add_batch(packets);
-  EXPECT_EQ(merged->total_bytes(), offline->total_bytes());
-  EXPECT_TRUE(harness::hhh_sets_equal(offline->extract(0.05), merged->extract(0.05)));
+  EXPECT_EQ(merged->total(TimePoint()), static_cast<double>(offline->total_bytes()));
+  EXPECT_TRUE(
+      harness::hhh_sets_equal(offline->extract(0.05), merged->report(TimePoint(), 0.05)));
   std::filesystem::remove(path);
 }
 
@@ -393,13 +395,13 @@ TEST(PipelineStagesTest, MementoStageMatchesDirectDetectorQueries) {
   const MementoHhhParams params{.window = Duration::millis(100), .frames = 5};
 
   // One-packet ingest runs: the twin below then draws its sampled levels
-  // from the same RNG outputs as the stage's offer_batch calls.
+  // from the same RNG outputs as the stage's add_batch calls.
   PipelineConfig config;
   config.phi = 0.05;
   config.finish_at = end;
   config.batch_size = 1;
   Pipeline pipe(make_span_source(packets),
-                make_memento_stage(std::make_unique<MementoHhhDetector>(params)),
+                make_engine_stage(std::make_unique<MementoHhhDetector>(params)),
                 make_sliding_policy(params.window, Duration::millis(20)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
   pipe.run();
@@ -410,15 +412,15 @@ TEST(PipelineStagesTest, MementoStageMatchesDirectDetectorQueries) {
   std::size_t next = 0;
   for (const auto& p : packets) {
     while (next < collect.reports().size() && collect.reports()[next].end <= p.ts) {
-      EXPECT_TRUE(harness::hhh_sets_equal(twin.query(collect.reports()[next].end, 0.05),
+      EXPECT_TRUE(harness::hhh_sets_equal(twin.report(collect.reports()[next].end, 0.05),
                                           collect.reports()[next].hhhs))
           << "report " << next;
       ++next;
     }
-    twin.offer_batch(std::span<const PacketRecord>(&p, 1));
+    twin.add_batch(std::span<const PacketRecord>(&p, 1));
   }
   for (; next < collect.reports().size(); ++next) {
-    EXPECT_TRUE(harness::hhh_sets_equal(twin.query(collect.reports()[next].end, 0.05),
+    EXPECT_TRUE(harness::hhh_sets_equal(twin.report(collect.reports()[next].end, 0.05),
                                         collect.reports()[next].hhhs))
         << "report " << next;
   }
@@ -461,7 +463,8 @@ TEST(PipelineStagesTest, TdbfStageAnswersEveryCadenceTick) {
   config.phi = 0.1;
   config.finish_at = end;
   Pipeline pipe(make_span_source(packets),
-                make_tdbf_stage(TimeDecayingHhhDetector::for_window(Duration::millis(100))),
+                make_engine_stage(std::make_unique<TimeDecayingHhhDetector>(
+                    TimeDecayingHhhDetector::for_window(Duration::millis(100)))),
                 make_query_cadence_policy(Duration::millis(25)), config);
   auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
   pipe.run();

@@ -42,7 +42,7 @@ std::unique_ptr<HhhEngine> v4_engine() {
 }
 
 Scope engine_scope(std::unique_ptr<HhhEngine> engine, std::string label) {
-  return Scope{.label = std::move(label), .summary = wire::DecodedSummary(std::move(engine))};
+  return Scope{.label = std::move(label), .summary = std::move(engine)};
 }
 
 // A CRC-valid frame of a retired kind: 6 (the removed WCSS detector) or 8
@@ -64,11 +64,8 @@ void expect_wire_error(wire::WireError code, F&& decode) {
 
 // A Memento vantage as the collector sees it: serialized to a frame and
 // decoded back through decode_scope().
-Scope memento_scope(const MementoDetector& detector, std::string label) {
-  std::vector<std::uint8_t> payload;
-  wire::Writer w(payload);
-  detector.save_state(w);
-  const auto bytes = wire::build_frame(wire::SnapshotKind::kMementoDetector, payload);
+Scope memento_scope(const MementoHhhDetector& detector, std::string label) {
+  const auto bytes = wire::save_engine(detector);
   return decode_scope(wire::parse_frame(bytes), std::move(label));
 }
 
@@ -229,23 +226,24 @@ TEST(DecodeScope, RoundTripsAnEngineFrame) {
   const auto frame = wire::parse_frame(bytes);
 
   Scope scope = decode_scope(frame, "vantage0");
-  EXPECT_EQ(scope.summary.key(), "exact");
-  EXPECT_FALSE(scope.summary.sliding());
+  EXPECT_EQ(scope.summary->name(), "exact");
+  EXPECT_NE(dynamic_cast<const HhhEngine*>(scope.summary.get()), nullptr);
+  EXPECT_EQ(scope.summary->watermark(), TimePoint());
   EXPECT_EQ(scope.label, "vantage0");
-  EXPECT_EQ(scope.summary.total(), static_cast<double>(engine->total_bytes()));
-  expect_same_set(scope.summary.report(0.1), engine->extract(0.1));
-  EXPECT_EQ(scope.summary.frame(), bytes);
+  EXPECT_EQ(scope.summary->total(TimePoint()), static_cast<double>(engine->total_bytes()));
+  expect_same_set(scope.summary->report(TimePoint(), 0.1), engine->extract(0.1));
+  EXPECT_EQ(wire::save_engine(*scope.summary), bytes);
 }
 
 TEST(DecodeScope, RoundTripsAMementoFrame) {
   const auto detector = memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1);
   Scope scope = memento_scope(*detector, "m");
-  EXPECT_EQ(scope.summary.key(), "memento");
-  EXPECT_TRUE(scope.summary.sliding());
-  EXPECT_EQ(scope.summary.watermark(), detector->high_watermark());
-  EXPECT_EQ(scope.summary.total(), 260000.0);
-  expect_same_set(scope.summary.report(0.1),
-                  detector->query(detector->high_watermark(), 0.1));
+  EXPECT_EQ(scope.summary->name(), "memento");
+  EXPECT_EQ(dynamic_cast<const HhhEngine*>(scope.summary.get()), nullptr);
+  const TimePoint at = scope.summary->watermark();
+  EXPECT_EQ(at, detector->watermark());
+  EXPECT_EQ(scope.summary->total(at), 260000.0);
+  expect_same_set(scope.summary->report(at, 0.1), detector->report(at, 0.1));
 }
 
 TEST(DecodeScope, RefusesStreamProtocolFrames) {
@@ -265,13 +263,13 @@ TEST(DecodeScope, RefusesTheRetiredKinds) {
   }
 }
 
-TEST(DecodedSummary, MergeAcrossFamiliesThrows) {
+TEST(DecodeScope, MergeAcrossFamiliesThrows) {
   auto engine = v4_engine();
   feed(*engine, Ipv4Address::of(10, 0, 0, 1), 100, 10);
-  wire::DecodedSummary summary(std::move(engine));
+  Scope exact = engine_scope(std::move(engine), "e");
   Scope memento = memento_scope(*memento_vantage(Ipv4Address::of(20, 0, 0, 1), 1), "m");
-  EXPECT_THROW(summary.merge_from(memento.summary), std::invalid_argument);
-  EXPECT_THROW(memento.summary.merge_from(summary), std::invalid_argument);
+  EXPECT_THROW(exact.summary->merge_from(*memento.summary), std::invalid_argument);
+  EXPECT_THROW(memento.summary->merge_from(*exact.summary), std::invalid_argument);
 }
 
 // ----------------------------------------------------------- composition
@@ -359,8 +357,8 @@ TEST(MergeLedger, SavedGroupFramesAreTheCollectorsInputFormat) {
   // Each frame is self-delimiting and decodes back into a merged scope.
   const auto view = wire::parse_frame(frames[0]);
   Scope merged = decode_scope(view, "merged");
-  EXPECT_EQ(merged.summary.key(), "exact");
-  EXPECT_EQ(merged.summary.total(), 1200.0);
+  EXPECT_EQ(merged.summary->name(), "exact");
+  EXPECT_EQ(merged.summary->total(TimePoint()), 1200.0);
 }
 
 TEST(MergeLedger, LoadStateRefusesARetiredKind6GroupFrame) {

@@ -20,6 +20,7 @@
 
 #include "core/exact_engine.hpp"
 #include "core/rhhh.hpp"
+#include "harness/engine_registry.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "wire/codec.hpp"
@@ -49,7 +50,7 @@ TEST(WireCompat, FixturesAreVersionOne) {
 }
 
 TEST(WireCompat, V1ExactSnapshotLoadsAndMatchesLiveIngest) {
-  const auto restored = wire::load_engine(fixture_bytes("v1_exact.snap"));
+  const auto restored = harness::as_engine(wire::load_engine(fixture_bytes("v1_exact.snap")));
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->name(), "exact");
 
@@ -75,7 +76,7 @@ TEST(WireCompat, V1ExactSnapshotLoadsIntoConfiguredEngine) {
 }
 
 TEST(WireCompat, V1RhhhSnapshotRestoresBehaviour) {
-  const auto restored = wire::load_engine(fixture_bytes("v1_rhhh.snap"));
+  const auto restored = harness::as_engine(wire::load_engine(fixture_bytes("v1_rhhh.snap")));
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->name(), "rhhh");
 
@@ -171,7 +172,7 @@ TEST(WireCompat, V2FixturesAreVersionTwo) {
 TEST(WireCompat, V2ExactSnapshotsLoadAndMatchLiveIngest) {
   for (const auto& fixture : v2_fixtures()) {
     SCOPED_TRACE(fixture.name);
-    const auto restored = wire::load_engine(fixture_bytes(fixture.name));
+    const auto restored = harness::as_engine(wire::load_engine(fixture_bytes(fixture.name)));
     ASSERT_NE(restored, nullptr);
 
     auto live = make_exact_engine(fixture.hierarchy);

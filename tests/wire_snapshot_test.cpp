@@ -11,13 +11,16 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/exact_engine.hpp"
 #include "core/rhhh.hpp"
+#include "harness/engine_registry.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trace_builder.hpp"
 #include "util/random.hpp"
+#include "wire/codec.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
 
@@ -227,24 +230,56 @@ TEST(WireSnapshotRobustness, RandomMutationSweepNeverEscapesTypedErrors) {
 }
 
 TEST(WireSnapshotRobustness, CrcValidCraftedSizeParamsAreTypedNotAllocated) {
-  // CRC-valid frames are still untrusted: a hand-crafted RHHH payload
-  // declaring 2^60 counters per level must be rejected with a typed
-  // kBadValue *before* any allocation — not escape as std::length_error
-  // or attempt a multi-GB allocation (the collector decodes snapshots
-  // from the network).
-  std::vector<std::uint8_t> payload;
-  wire::Writer w(payload);
-  w.u8(5);  // hierarchy: byte granularity
-  for (const std::uint8_t len : {32, 24, 16, 8, 0}) w.u8(len);
-  w.u64(1ull << 60);  // counters_per_level: absurd
-  w.boolean(false);
-  w.u64(42);  // seed
-  const auto frame = wire::build_frame(wire::SnapshotKind::kRhhhEngine, payload);
-  try {
-    (void)wire::load_engine(frame);
-    FAIL() << "expected WireFormatError";
-  } catch (const WireFormatError& e) {
-    EXPECT_EQ(e.code(), WireError::kBadValue);
+  // CRC-valid frames are still untrusted: hand-crafted params that would
+  // size huge state must be rejected with a typed error *before* any
+  // allocation — not escape as std::length_error / std::bad_alloc or
+  // attempt a multi-GB allocation (the collector decodes snapshots from
+  // the network).
+  struct Hostile {
+    const char* name;
+    std::vector<std::uint8_t> frame;
+    WireError code;
+    const char* what;  // the params check that must fire
+  };
+  std::vector<Hostile> cases;
+  {
+    // RHHH declaring 2^60 counters per level.
+    std::vector<std::uint8_t> payload;
+    wire::Writer w(payload);
+    wire::write_hierarchy(w, Hierarchy::byte_granularity());
+    w.u64(1ull << 60);  // counters_per_level: absurd
+    w.boolean(false);
+    w.u64(42);  // seed
+    cases.push_back({"rhhh", wire::build_frame(wire::SnapshotKind::kRhhhEngine, payload),
+                     WireError::kBadValue, "counters_per_level out of range"});
+  }
+  {
+    // UnivMon at the largest in-range shape (32 levels, width 2^20, depth
+    // 16) with no tables: 75 bytes that would size ~2.4 GB of
+    // count-sketch counters across the 5 hierarchy levels.
+    std::vector<std::uint8_t> payload;
+    wire::Writer w(payload);
+    wire::write_hierarchy(w, Hierarchy::byte_granularity());
+    w.u64(32);         // sampling levels
+    w.u64(1u << 20);   // sketch width
+    w.u64(16);         // sketch depth
+    w.u64(64);         // top_k
+    w.u64(42);         // seed
+    w.u64(0);          // total bytes; the tables are missing
+    auto frame = wire::build_frame(wire::SnapshotKind::kUnivmonEngine, payload);
+    EXPECT_EQ(frame.size(), 75u);
+    cases.push_back({"univmon", std::move(frame), WireError::kTruncated,
+                     "sketch tables exceed the payload"});
+  }
+  for (const Hostile& c : cases) {
+    SCOPED_TRACE(c.name);
+    try {
+      (void)wire::load_engine(c.frame);
+      ADD_FAILURE() << "expected WireFormatError";
+    } catch (const WireFormatError& e) {
+      EXPECT_EQ(e.code(), c.code);
+      EXPECT_NE(std::string(e.what()).find(c.what), std::string::npos) << e.what();
+    }
   }
 }
 
@@ -301,7 +336,7 @@ TEST(WireSnapshotFraming, ConcatenatedFramesParseSequentially) {
   while (!rest.empty()) {
     const wire::FrameView view = wire::parse_frame(rest);
     EXPECT_EQ(view.kind, wire::SnapshotKind::kExactEngine);
-    auto engine = wire::load_engine(view);
+    auto engine = harness::as_engine(wire::load_engine(view));
     EXPECT_GT(engine->total_bytes(), 0u);
     rest = rest.subspan(view.frame_size);
     ++frames;

@@ -8,6 +8,7 @@
 
 #include "core/exact_engine.hpp"
 #include "core/level_aggregates.hpp"
+#include "harness/engine_registry.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
 #include "net/hierarchy.hpp"
@@ -158,7 +159,7 @@ TEST(CompactV6Test, ExactV6SnapshotShrinksAndStaysByteIdentical) {
   engine->add_batch(packets);
 
   const auto frame = wire::save_engine(*engine);
-  auto restored = wire::load_engine(frame);
+  auto restored = harness::as_engine(wire::load_engine(frame));
   EXPECT_EQ(restored->total_bytes(), engine->total_bytes());
   EXPECT_TRUE(harness::hhh_sets_equal(engine->extract(0.01), restored->extract(0.01)));
 

@@ -50,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/hhh_types.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
@@ -157,9 +158,12 @@ int run(const Options& opt) {
     std::fprintf(stderr, "error: no snapshot frames found\n");
     return 2;
   }
-  const bool sliding = scopes.front().summary.sliding();
+  const auto is_engine = [](const service::Scope& s) {
+    return dynamic_cast<const HhhEngine*>(s.summary.get()) != nullptr;
+  };
+  const bool engines = is_engine(scopes.front());
   for (const service::Scope& s : scopes) {
-    if (s.summary.sliding() != sliding) {
+    if (is_engine(s) != engines) {
       std::fprintf(stderr, "error: cannot mix engine and sliding-window snapshots\n");
       return 3;
     }

@@ -3,9 +3,9 @@
 //
 // Replays a stored trace (HHT binary, CSV or pcap) — or generates a
 // synthetic one — through the streaming pipeline runtime
-// (PacketSource -> ShardRouter -> HhhEngine -> WindowPolicy ->
+// (PacketSource -> ShardRouter -> HhhSummary stage -> WindowPolicy ->
 // ReportSink), optionally paced against the wall clock, and emits one
-// engine snapshot frame per closed window. The frame stream is exactly
+// snapshot frame per closed window (per step for sliding detectors). The frame stream is exactly
 // what hhh-collector consumes (files or --stdin), so
 //
 //   hhh-live --trace=vantage0.hht --pps=500000 --window=60 --out=- |
@@ -45,9 +45,10 @@
 //                      these honour --shards), or any engine registry
 //                      name (`hhh-live --engine=help` lists them;
 //                      registry engines require --shards=1). Sliding
-//                      detectors — memento | memento_v6 — need
-//                      --step and snapshot their trailing-window state
-//                      per step instead of resetting per window
+//                      detectors — memento | memento_v6 — run through
+//                      the same stage as the engines, need --step and
+//                      --shards=1, and snapshot their trailing-window
+//                      state per step instead of resetting per window
 //   --step=S           sliding report cadence in seconds: switch the
 //                      schedule from disjoint windows to a sliding
 //                      window of --window reported every S (requires a
@@ -305,8 +306,19 @@ pipeline::ShardPlan shard_plan(const Options& opt) {
   return plan;
 }
 
-std::unique_ptr<HhhEngine> build_engine(const Options& opt) {
+/// The summary --engine names: a Memento sliding detector over --window,
+/// or an engine (behind the --shards router for the built-ins). Null for
+/// an unknown name or a registry engine with --shards > 1.
+std::unique_ptr<HhhSummary> build_engine(const Options& opt) {
   constexpr std::uint64_t kRhhhSeed = 42;
+  const Duration window = Duration::from_seconds(opt.window_s);
+  if (opt.engine == "memento") {
+    return std::make_unique<MementoHhhDetector>(MementoHhhParams{.window = window});
+  }
+  if (opt.engine == "memento_v6") {
+    return std::make_unique<MementoHhhV6Detector>(
+        MementoHhhParams{.hierarchy = Hierarchy::v6_byte_granularity(), .window = window});
+  }
   if (opt.engine == "exact") {
     return pipeline::route_shards(shard_plan(opt), [](std::size_t) {
       return make_exact_engine(Hierarchy::byte_granularity());
@@ -364,33 +376,21 @@ int run(const Options& opt) {
     return 1;
   }
 
-  std::unique_ptr<pipeline::MeasurementStage> stage;
-  if (sliding_engine) {
-    const Duration window = Duration::from_seconds(opt.window_s);
-    if (opt.engine == "memento_v6") {
-      stage = pipeline::make_memento_stage(std::make_unique<MementoHhhV6Detector>(
-          MementoHhhParams{.hierarchy = Hierarchy::v6_byte_granularity(), .window = window}));
+  auto summary = build_engine(opt);
+  if (!summary) {
+    if (find_engine(opt.engine) != nullptr && opt.shards > 1) {
+      HHH_ERROR << "error: --engine=" << opt.engine
+                << " is an engine-registry configuration and supports --shards=1 only";
     } else {
-      stage = pipeline::make_memento_stage(
-          std::make_unique<MementoHhhDetector>(MementoHhhParams{.window = window}));
+      std::string names;
+      for (const auto& name : engine_names()) names += " " + name;
+      HHH_ERROR << "error: unknown engine '" << opt.engine
+                << "'; built-ins: exact exact_v6 rhhh rhhh_v6; sliding: memento "
+                << "memento_v6 (need --step); registry:" << names;
     }
-  } else {
-    auto engine = build_engine(opt);
-    if (!engine) {
-      if (find_engine(opt.engine) != nullptr && opt.shards > 1) {
-        HHH_ERROR << "error: --engine=" << opt.engine
-                  << " is an engine-registry configuration and supports --shards=1 only";
-      } else {
-        std::string names;
-        for (const auto& name : engine_names()) names += " " + name;
-        HHH_ERROR << "error: unknown engine '" << opt.engine
-                  << "'; built-ins: exact exact_v6 rhhh rhhh_v6; sliding: memento "
-                  << "memento_v6 (need --step); registry:" << names;
-      }
-      return 1;
-    }
-    stage = pipeline::make_engine_stage(std::move(engine));
+    return 1;
   }
+  auto stage = pipeline::make_engine_stage(std::move(summary));
 
   pipeline::PipelineConfig config;
   config.phi = opt.threshold_bytes > 0.0 ? 1.0 : opt.phi;

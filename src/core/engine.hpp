@@ -71,7 +71,7 @@ class HhhEngine : public HhhSummary {
   virtual HhhSet extract(double phi) const = 0;
 
   /// extract(phi); an engine's scope does not depend on the instant.
-  HhhSet report(TimePoint, double phi) final { return extract(phi); }
+  HhhSet report(TimePoint, double phi) override { return extract(phi); }
 
   /// total_bytes(); an engine's scope does not depend on the instant.
   double total(TimePoint) final { return static_cast<double>(total_bytes()); }

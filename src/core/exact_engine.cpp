@@ -29,6 +29,12 @@ HhhSet BasicExactEngine<D>::extract(double phi) const {
 }
 
 template <typename D>
+HhhSet BasicExactEngine<D>::report(TimePoint, double phi) {
+  agg_.freeze();
+  return extract(phi);
+}
+
+template <typename D>
 std::string BasicExactEngine<D>::name() const {
   return D::kFamily == AddressFamily::kIpv4 ? "exact" : "exact_v6";
 }
@@ -70,11 +76,11 @@ std::unique_ptr<HhhEngine> deserialize_exact_engine(wire::Reader& r) {
   const Hierarchy hierarchy = wire::read_hierarchy(r);
   if (hierarchy.family() == AddressFamily::kIpv4) {
     auto engine = std::make_unique<ExactEngine>(hierarchy);
-    engine->agg_ = LevelAggregates::deserialize_counters(hierarchy, r);
+    engine->agg_.read_counters(r);
     return engine;
   }
   auto engine = std::make_unique<ExactV6Engine>(hierarchy);
-  engine->agg_ = LevelAggregatesV6::deserialize_counters(hierarchy, r);
+  engine->agg_.read_counters(r);
   return engine;
 }
 

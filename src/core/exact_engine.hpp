@@ -34,6 +34,10 @@ class BasicExactEngine final : public HhhEngine {
   void add_batch(std::span<const PacketRecord> packets) override;
   /// Exact conditioned-count HHH extraction over the leaf counters.
   HhhSet extract(double phi) const override;
+  /// extract(phi) after LevelAggregates::freeze(): the window's report
+  /// sorts the leaves once, and the snapshot encode that follows it walks
+  /// the same run.
+  HhhSet report(TimePoint now, double phi) override;
   /// Zero all counters (window boundary).
   void reset() override;
   /// Exact byte total since the last reset.
@@ -45,9 +49,10 @@ class BasicExactEngine final : public HhhEngine {
 
   /// Always true: counter addition commutes, so merging is lossless.
   bool mergeable() const override { return true; }
-  /// Lossless merge: adds `other`'s counters into this engine. Requires
-  /// `other` to be an exact engine over the same hierarchy (and therefore
-  /// the same family).
+  /// Lossless merge: adds `other`'s counters into this engine (a linear
+  /// merge of sorted runs, see LevelAggregates::merge). Requires `other`
+  /// to be an exact engine over the same hierarchy (and therefore the
+  /// same family).
   void merge_from(const HhhSummary& other) override;
 
   /// Always true: the counters serialize losslessly.

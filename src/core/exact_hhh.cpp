@@ -19,16 +19,6 @@ constexpr std::size_t kMaxThresholds = 8;
 // non-HHH child contributes its slot-i residual.
 using ResidualVec = std::array<std::uint64_t, kMaxThresholds>;
 
-/// Address byte `d` of a key, counted from the least significant.
-template <typename D>
-unsigned address_byte(const typename D::MapKey& key, unsigned d) {
-  if constexpr (std::is_same_v<D, V6Domain>) {
-    return static_cast<unsigned>((d < 8 ? key.lo >> (8 * d) : key.hi >> (8 * (d - 8))) & 0xFF);
-  } else {
-    return static_cast<unsigned>((key >> (8 + 8 * d)) & 0xFF);  // above the length byte
-  }
-}
-
 /// Length of the longest common prefix of two keys' addresses.
 template <typename D>
 unsigned common_length(const typename D::MapKey& a, const typename D::MapKey& b) {
@@ -37,35 +27,6 @@ unsigned common_length(const typename D::MapKey& a, const typename D::MapKey& b)
   } else {
     return std::countl_zero(static_cast<std::uint32_t>((a ^ b) >> 8));
   }
-}
-
-/// The leaf counters in ascending address order, which is PrefixKey's
-/// order within a level. An LSD radix sort over the address bytes that
-/// skips every byte all keys share, so it costs one pass per varying byte
-/// (a comparison sort of random keys costs several times more).
-template <typename D>
-std::vector<std::pair<typename D::MapKey, std::uint64_t>> sorted_leaves(
-    const BasicLevelAggregates<D>& agg) {
-  using Entry = std::pair<typename D::MapKey, std::uint64_t>;
-  constexpr unsigned kDigits = D::kAddressBits / 8;
-  std::vector<std::array<std::size_t, 256>> counts(kDigits);
-  std::vector<Entry> entries;
-  entries.reserve(agg.leaf().size());
-  agg.leaf().for_each([&](const typename D::MapKey& key, const std::uint64_t& bytes) {
-    entries.emplace_back(key, bytes);
-    for (unsigned d = 0; d < kDigits; ++d) ++counts[d][address_byte<D>(key, d)];
-  });
-  if (entries.size() < 2) return entries;
-  std::vector<Entry> scratch(entries.size());
-  for (unsigned d = 0; d < kDigits; ++d) {
-    auto& next = counts[d];  // becomes each digit value's next output slot
-    if (next[address_byte<D>(entries.front().first, d)] == entries.size()) continue;
-    std::size_t offset = 0;
-    for (std::size_t& slot : next) offset += std::exchange(slot, offset);
-    for (const Entry& e : entries) scratch[next[address_byte<D>(e.first, d)]++] = e;
-    entries.swap(scratch);
-  }
-  return entries;
 }
 
 }  // namespace
@@ -89,11 +50,13 @@ std::vector<HhhSet> extract_hhh_multi(const BasicLevelAggregates<D>& agg,
     results[i].total_bytes = agg.total_bytes();
     results[i].threshold_bytes = t[i];
   }
-  if (agg.leaf().empty()) return results;
-
   // The leaves in address order: every prefix of every level is then one
   // contiguous run of leaves, settled in one pass as soon as its run ends.
-  const auto leaves = sorted_leaves(agg);
+  // No sort when the aggregates' run is current (a frozen window, a
+  // decoded frame, a merge).
+  typename BasicLevelAggregates<D>::Run scratch;
+  const auto leaves = agg.sorted_leaves(scratch);
+  if (leaves.empty()) return results;
 
   // A prefix's total and its residual under each threshold.
   struct Sums {

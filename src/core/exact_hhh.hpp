@@ -14,9 +14,11 @@
 /// (its own residual plus everything deeper already discounted).
 ///
 /// Only the leaf level is stored, so every upper prefix's total and
-/// residual are derived here: a radix sort puts the leaf counters in
-/// address order, where each prefix is a contiguous run of leaves, and one
-/// pass settles each prefix as its run ends — O(distinct prefixes).
+/// residual are derived here from the leaves in address order
+/// (LevelAggregates::sorted_leaves: the aggregates' run when it is
+/// current, otherwise one radix sort), where each prefix is a contiguous
+/// run of leaves; one pass settles each prefix as its run ends —
+/// O(distinct prefixes).
 ///
 /// Report order is canonical: levels from leaf to root, ascending prefix
 /// within a level. Equal counters therefore report equal item sequences,

@@ -8,14 +8,30 @@
 /// (exact_hhh.hpp) derives the upper levels once per report instead of
 /// once per packet, and the wire carries the leaf level only.
 ///
+/// The leaf counters have two views, and at most one is authoritative at
+/// a time:
+///
+///  * the *map* (FlatHashMap), written by add/add_batch/remove — one
+///    probe per packet;
+///  * the *run*: the same (key, bytes) pairs in ascending address order,
+///    which is what extraction, the wire codec and merge walk.
+///
+/// freeze() radix-sorts the map into the run (the one leaf sort in src/);
+/// the next add/add_batch/remove thaws the run back into the map. merge()
+/// is a linear merge of two runs, and a decoded frame fills the run
+/// directly, so a collector that decodes, extracts and merges exact
+/// frames never sorts or hashes. Const readers of a map-authoritative
+/// instance sort into a caller-owned scratch run instead of caching one,
+/// so concurrent const calls stay safe.
+///
 /// Counters are erased when they return to zero so that a sliding window's
 /// working set stays proportional to the *window's* distinct prefixes, not
 /// the whole trace's.
 ///
 /// The class is templated on a key domain (net/key_domain.hpp):
 /// `LevelAggregates` (= BasicLevelAggregates<V4Domain>) stores the packed
-/// 64-bit keys of the pre-generic code — identical layout, hashing and wire
-/// bytes — and `LevelAggregatesV6` stores 128-bit keys. One copy of every
+/// 64-bit keys of the pre-generic code — identical layout and hashing —
+/// and `LevelAggregatesV6` stores 128-bit keys. One copy of every
 /// algorithm, specialized per family at compile time.
 #pragma once
 
@@ -23,6 +39,7 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "net/hierarchy.hpp"
@@ -42,12 +59,17 @@ class BasicLevelAggregates {
   using MapKey = typename D::MapKey;
   /// A counter map keyed by prefixes of one length.
   using Map = FlatHashMap<MapKey, std::uint64_t, typename D::Hash>;
+  /// One leaf counter: (key, bytes).
+  using Entry = std::pair<MapKey, std::uint64_t>;
+  /// Leaf counters in ascending address order, every key distinct and
+  /// every counter non-zero.
+  using Run = std::vector<Entry>;
 
   /// Counters over `hierarchy`, all initially zero. The hierarchy's
   /// family must match the domain's; throws std::invalid_argument
-  /// otherwise.
-  explicit BasicLevelAggregates(const Hierarchy& hierarchy)
-      : hierarchy_(hierarchy), leaf_(1024) {
+  /// otherwise. The map starts at its minimum size: decoded frames, merge
+  /// targets and sharded clones hold runs and never write it.
+  explicit BasicLevelAggregates(const Hierarchy& hierarchy) : hierarchy_(hierarchy) {
     if (hierarchy_.family() != D::kFamily) {
       throw std::invalid_argument("LevelAggregates: hierarchy family mismatch");
     }
@@ -59,6 +81,7 @@ class BasicLevelAggregates {
   /// nothing, so no counter is ever zero.
   void add(IpAddress src, std::uint64_t bytes) {
     if (src.family() != D::kFamily || bytes == 0) return;
+    if (sorted_) thaw();
     total_ += bytes;
     leaf_[D::key(src, hierarchy_.leaf_length())] += bytes;
   }
@@ -85,6 +108,7 @@ class BasicLevelAggregates {
     }
     const std::size_t n = gather_hi_.size();
     if (n == 0) return;
+    if (sorted_) thaw();
     gather_keys_.resize(n);
     gather_hashes_.resize(n);
     D::key_hash_batch(gather_hi_.data(), gather_lo_.data(), hierarchy_.leaf_length(),
@@ -102,6 +126,7 @@ class BasicLevelAggregates {
   /// negative — callers only remove what they added.
   void remove(IpAddress src, std::uint64_t bytes) {
     if (src.family() != D::kFamily || bytes == 0) return;
+    if (sorted_) thaw();
     assert(total_ >= bytes);
     total_ -= bytes;
     const MapKey key = D::key(src, hierarchy_.leaf_length());
@@ -114,21 +139,24 @@ class BasicLevelAggregates {
   /// Fold another instance's counters into this one. Lossless: counter
   /// addition commutes, so merge(A, B) is byte-identical to one instance
   /// having ingested A's and B's streams in any order — the foundation of
-  /// the sharded exact engine's exactness guarantee. Throws
-  /// std::invalid_argument when the hierarchies differ.
-  void merge(const BasicLevelAggregates& other) {
-    if (other.hierarchy_ != hierarchy_) {
-      throw std::invalid_argument("LevelAggregates::merge: hierarchy mismatch");
-    }
-    total_ += other.total_;
-    leaf_.reserve(leaf_.size() + other.leaf_.size());  // FlatHashMap bucket-order rule
-    other.leaf_.for_each(
-        [&](const MapKey& key, const std::uint64_t& bytes) { leaf_[key] += bytes; });
-  }
+  /// the sharded exact engine's exactness guarantee. A linear merge of
+  /// the two runs: a map-authoritative side is radix-sorted first (this
+  /// side by freeze(), `other` into a scratch run), and the result is
+  /// run-authoritative. Throws std::invalid_argument when the
+  /// hierarchies differ.
+  void merge(const BasicLevelAggregates& other);
 
-  /// Zero every counter (window boundary).
+  /// Make the run the authoritative view: radix-sort the map into it
+  /// unless the run is already current. A window close calls this once,
+  /// so its report and its snapshot walk the same sorted leaves.
+  void freeze();
+
+  /// Zero every counter (window boundary): empties both views and
+  /// releases the run, so no second copy of the leaves outlives a window.
   void clear() {
     leaf_.clear();
+    run_ = Run();
+    sorted_ = false;
     total_ = 0;
   }
 
@@ -139,36 +167,49 @@ class BasicLevelAggregates {
   /// The hierarchy the counters are organised by.
   const Hierarchy& hierarchy() const noexcept { return hierarchy_; }
 
-  /// The leaf-level counters (all non-zero): what extraction walks and the
-  /// wire carries.
-  const Map& leaf() const noexcept { return leaf_; }
+  /// Number of live (non-zero) leaf counters.
+  std::size_t leaves() const noexcept { return sorted_ ? run_.size() : leaf_.size(); }
 
-  // Per-level views. Each derives its level from the leaf counters in
+  /// The leaf counters in ascending address order: the run itself when it
+  /// is current, otherwise the map radix-sorted into `scratch`. The span
+  /// is valid until this instance or `scratch` changes.
+  std::span<const Entry> sorted_leaves(Run& scratch) const;
+
+  // Per-level views. Each derives its level from the sorted leaves in
   // O(distinct leaves): for tests and examples, never for a hot path.
 
   /// Byte count of `prefix` (must be at a hierarchy level), 0 if absent.
   std::uint64_t count(PrefixKey prefix) const {
     const std::size_t level = hierarchy_.level_of(prefix);
     if (level == Hierarchy::npos) return 0;
-    const Map counters = level_map(level);
-    const std::uint64_t* v = counters.find(D::map_key(prefix));
-    return v ? *v : 0;
+    const MapKey wanted = D::map_key(prefix);
+    std::uint64_t found = 0;
+    for_each_at(level, [&](const MapKey& key, std::uint64_t bytes) {
+      if (key == wanted) found = bytes;
+    });
+    return found;
   }
 
   /// Number of live (non-zero) prefixes at `level`.
-  std::size_t distinct_at(std::size_t level) const { return level_map(level).size(); }
-
-  /// Visit every live (map_key, bytes) pair at `level`; lift map keys into
-  /// generic prefixes with D::prefix().
-  template <typename Fn>
-  void for_each_at(std::size_t level, Fn&& fn) const {
-    level_map(level).for_each(
-        [&](const MapKey& key, const std::uint64_t& bytes) { fn(key, bytes); });
+  std::size_t distinct_at(std::size_t level) const {
+    std::size_t n = 0;
+    for_each_at(level, [&](const MapKey&, std::uint64_t) { ++n; });
+    return n;
   }
 
-  /// Write the hierarchy, the total and the leaf counters to the wire.
-  /// Lossless: the restored counters are equal, so extraction and all
-  /// future add/remove/merge behaviour are byte-identical.
+  /// Visit every live (map_key, bytes) pair at `level` in ascending
+  /// address order; lift map keys into generic prefixes with D::prefix().
+  template <typename Fn>
+  void for_each_at(std::size_t level, Fn&& fn) const {
+    Run scratch;
+    for_each_prefix(sorted_leaves(scratch), hierarchy_.length_at(level), fn);
+  }
+
+  /// Write the hierarchy, the total and the leaf counters to the wire, in
+  /// ascending key order: equal counters write equal bytes, whatever
+  /// their ingest order or merge history. Lossless: the restored counters
+  /// are equal, so extraction and all future add/remove/merge behaviour
+  /// are byte-identical.
   void save_state(wire::Writer& w) const;
 
   /// Restore counters written by save_state() into an instance over the
@@ -176,35 +217,39 @@ class BasicLevelAggregates {
   /// (kParamsMismatch) or corrupt input.
   void load_state(wire::Reader& r);
 
-  /// Construct an instance from counters following an already-decoded
-  /// hierarchy header (the snapshot loader reads the hierarchy first to
-  /// pick the domain, then delegates here).
-  static BasicLevelAggregates deserialize_counters(const Hierarchy& hierarchy,
-                                                   wire::Reader& r) {
-    BasicLevelAggregates agg(hierarchy);
-    agg.read_counters(r);
-    return agg;
-  }
-
-  /// Memory footprint of the counter map (resource accounting).
-  std::size_t memory_bytes() const noexcept { return leaf_.memory_bytes(); }
-
- private:
+  /// Restore the counters that follow an already-decoded hierarchy header
+  /// (the snapshot loader reads the hierarchy first to pick the domain,
+  /// then delegates here). The decoded run becomes authoritative.
   void read_counters(wire::Reader& r);
 
-  /// The counters of `level`, summed from the leaf.
-  Map level_map(std::size_t level) const {
-    const unsigned len = hierarchy_.length_at(level);
-    Map out;
-    out.reserve(leaf_.size());
-    leaf_.for_each([&](const MapKey& key, const std::uint64_t& bytes) {
-      out[D::truncate(key, len)] += bytes;
-    });
-    return out;
+  /// Memory footprint of both views (resource accounting).
+  std::size_t memory_bytes() const noexcept {
+    return leaf_.memory_bytes() + run_.capacity() * sizeof(Entry);
+  }
+
+ private:
+  /// Rebuild the map from the run and make it authoritative again.
+  void thaw();
+
+  /// Visit the length-`len` prefixes of the ascending `leaves` with their
+  /// summed bytes, ascending. Truncation keeps the leaves' order, so each
+  /// prefix is one contiguous stretch of leaves.
+  template <typename Fn>
+  static void for_each_prefix(std::span<const Entry> leaves, unsigned len, Fn&& fn) {
+    for (std::size_t i = 0; i < leaves.size();) {
+      const MapKey key = D::truncate(leaves[i].first, len);
+      std::uint64_t bytes = 0;
+      for (; i < leaves.size() && D::truncate(leaves[i].first, len) == key; ++i) {
+        bytes += leaves[i].second;
+      }
+      fn(key, bytes);
+    }
   }
 
   Hierarchy hierarchy_;
   Map leaf_;
+  Run run_;
+  bool sorted_ = false;  // true: run_ is authoritative, leaf_ is stale
   std::uint64_t total_ = 0;
   // add_batch() gather arrays (contiguous SoA views of the batch for the
   // SIMD generalize/hash kernels; members so batches reuse capacity).

@@ -84,7 +84,9 @@ void ShardedHhhEngine::worker_loop(Shard& shard) {
       // publish it under the marker's sequence number. FIFO ring order
       // means the clone reflects exactly the packets dispatched before
       // the marker; the worker never parks — it moves straight on to
-      // whatever was enqueued after.
+      // whatever was enqueued after. For exact replicas the clone is the
+      // replica's leaves radix-sorted into a run, here in the worker, so
+      // the front-end's fold is a linear merge of sorted runs.
       shard.snap_engine->reset();
       shard.snap_engine->merge_from(*shard.engine);
       shard.snap_ready.store(msg.snapshot_seq, std::memory_order_release);

@@ -67,8 +67,8 @@ struct V4Domain {
   static constexpr MapKey map_key(PrefixKey p) noexcept { return p.v4_key(); }
 
   /// Hash functor. Same mixing as the pre-generic
-  /// DefaultKeyHash<std::uint64_t>: map iteration order — and therefore
-  /// serialized entry order — is byte-identical to version-1 snapshots.
+  /// DefaultKeyHash<std::uint64_t>, so maps iterate in the pre-generic
+  /// order (exact leaf blocks are written in key order regardless).
   struct Hash {
     /// mix64 of the packed key.
     std::uint64_t operator()(MapKey k) const noexcept { return mix64(k); }

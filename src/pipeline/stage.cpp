@@ -75,7 +75,7 @@ class SummaryStage final : public MeasurementStage {
   TimePoint last_ts_;  // of the last ingested packet
   // The replicas folded at the current window close (sharded engines
   // only); invalidated by ingest/reset.
-  mutable std::unique_ptr<HhhEngine> folded_;
+  std::unique_ptr<HhhEngine> folded_;
 };
 
 class SlidingExactStage final : public MeasurementStage {

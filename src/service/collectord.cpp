@@ -488,8 +488,7 @@ void CollectorService::handle_epoch_frame(Conn& conn, const wire::FrameView& fra
       ++conn.frames;
       mark_incorporated(conn.name, index);
       try {
-        const wire::FrameView inner = wire::parse_frame(epoch.inner);
-        cumulative_.fold(decode_scope(inner, conn.name));
+        cumulative_.fold(decode_scope(epoch.inner_frame, conn.name));
         HHH_INFO << "collector: late frame from " << conn.name << " for epoch " << index
                  << " folded into the cumulative state";
         ctr_.late_folds->inc();
@@ -530,8 +529,9 @@ void CollectorService::close_epoch(ReadyEpoch&& epoch) {
     }
     mark_incorporated(c.vantage, epoch.index);
     try {
-      const wire::FrameView inner = wire::parse_frame(c.inner);
-      ledger.fold(decode_scope(inner, c.vantage));
+      // Verified on arrival (parse_epoch) or on restore (the aligner's
+      // load_state): no second CRC pass.
+      ledger.fold(decode_scope(wire::view_verified_frame(c.inner), c.vantage));
     } catch (const std::invalid_argument& e) {
       // Incompatible vantage parameters: degrade to the frames that do
       // merge — one bad vantage must not sink the epoch.

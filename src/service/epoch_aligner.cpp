@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "wire/snapshot.hpp"
+
 namespace hhh::service {
 
 const char* to_string(Offer offer) noexcept {
@@ -174,6 +176,9 @@ void EpochAligner::load_state(wire::Reader& r, std::int64_t now_ns) {
       const std::uint64_t len = r.count(1);
       c.inner.resize(len);
       r.raw(c.inner.data(), len);
+      wire::check(wire::parse_frame(c.inner).frame_size == len,
+                  wire::WireError::kTrailingBytes,
+                  "buffered epoch bytes continue past their frame");
       bucket.frames.push_back(std::move(c));
     }
     buckets_.emplace(index, std::move(bucket));

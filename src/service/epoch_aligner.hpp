@@ -58,7 +58,7 @@ const char* to_string(Offer offer) noexcept;
 struct EpochContribution {
   std::string vantage;
   std::uint64_t seq = 0;             ///< sender's frame ordinal
-  std::vector<std::uint8_t> inner;   ///< one embedded snapshot frame
+  std::vector<std::uint8_t> inner;   ///< one embedded, verified snapshot frame
 };
 
 /// One closed epoch, ready to merge.
@@ -88,7 +88,10 @@ class EpochAligner {
 
   /// Classify and (when kAccepted) buffer one epoch frame. `now_ns` is
   /// arrival time (any monotonic clock); `start_ns`/`end_ns` are the
-  /// reported window span in trace time.
+  /// reported window span in trace time. `inner` must be one whole frame
+  /// that wire::parse_frame() validated (parse_epoch does): the buffered
+  /// copy is later viewed with wire::view_verified_frame(), without a
+  /// second CRC pass.
   Offer offer(const std::string& vantage, std::int64_t start_ns, std::int64_t end_ns,
               std::uint64_t seq, std::span<const std::uint8_t> inner,
               std::int64_t now_ns);
@@ -120,6 +123,8 @@ class EpochAligner {
   void save_state(wire::Writer& w) const;
   /// Restore into a freshly constructed aligner. Buckets restart their
   /// grace period at `now_ns` (arrival clocks do not survive restarts).
+  /// Every buffered frame is verified again (wire::parse_frame, CRC
+  /// included, and exactly one frame): a checkpoint is read from disk.
   void load_state(wire::Reader& r, std::int64_t now_ns);
 
  private:

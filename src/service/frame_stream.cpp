@@ -74,8 +74,8 @@ EpochFrame parse_epoch(const wire::FrameView& frame) {
   // The embedded bytes must be exactly one valid snapshot frame: CRC and
   // structure are checked here, at the envelope, so a corrupt inner frame
   // is a typed protocol error on arrival, not a surprise at merge time.
-  const wire::FrameView inner = wire::parse_frame(epoch.inner);
-  wire::check(inner.frame_size == epoch.inner.size(), WireError::kTrailingBytes,
+  epoch.inner_frame = wire::parse_frame(epoch.inner);
+  wire::check(epoch.inner_frame.frame_size == epoch.inner.size(), WireError::kTrailingBytes,
               "epoch payload continues past its embedded frame");
   return epoch;
 }

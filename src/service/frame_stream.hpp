@@ -51,6 +51,9 @@ struct EpochFrame {
   std::int64_t end_ns = 0;       ///< exclusive window end
   std::uint64_t seq = 0;         ///< per-connection frame ordinal (0-based)
   std::span<const std::uint8_t> inner;  ///< exactly one complete snapshot frame
+  /// `inner` as parse_frame() validated it (CRC included): decode from
+  /// this view instead of parsing `inner` again.
+  wire::FrameView inner_frame{};
 };
 
 /// The clean end-of-stream marker (and the collector's ack).

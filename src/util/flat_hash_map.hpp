@@ -18,7 +18,7 @@
 // builds long robin-hood clusters, and the copy runs several times
 // slower than with random-order keys. Rule: reserve() the expected
 // final size before a bulk insert from another table of the same key
-// type (merges).
+// type. (LevelAggregates merges sorted runs, not tables.)
 #pragma once
 
 #include <cassert>

@@ -38,23 +38,9 @@ bool known_kind(std::uint16_t k) noexcept {
          k <= static_cast<std::uint16_t>(SnapshotKind::kMementoDetector);
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> build_frame(SnapshotKind kind,
-                                      std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + payload.size() + kFrameCrcBytes);
-  Writer w(out);
-  w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
-  w.u16(kSnapshotVersion);
-  w.u16(static_cast<std::uint16_t>(kind));
-  w.u64(payload.size());
-  w.raw(payload.data(), payload.size());
-  w.u32(crc32(out.data(), out.size()));
-  return out;
-}
-
-FrameView parse_frame(std::span<const std::uint8_t> buffer) {
+/// The header checks of parse_frame() (magic → version → kind → size),
+/// viewing the frame without its CRC pass.
+FrameView parse_header(std::span<const std::uint8_t> buffer) {
   check(buffer.size() >= kFrameHeaderBytes + kFrameCrcBytes, WireError::kTruncated,
         "frame shorter than header + CRC");
   check(std::memcmp(buffer.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) == 0,
@@ -75,18 +61,45 @@ FrameView parse_frame(std::span<const std::uint8_t> buffer) {
   const std::uint64_t payload_len = header.u64();
   check(payload_len <= buffer.size() - kFrameHeaderBytes - kFrameCrcBytes,
         WireError::kTruncated, "declared payload exceeds available bytes");
-  const std::uint64_t frame_size = kFrameHeaderBytes + payload_len + kFrameCrcBytes;
-
-  Reader crc_field(buffer.subspan(kFrameHeaderBytes + payload_len, kFrameCrcBytes));
-  const std::uint32_t stored = crc_field.u32();
-  const std::uint32_t computed = crc32(buffer.data(), kFrameHeaderBytes + payload_len);
-  check(stored == computed, WireError::kBadCrc, "frame checksum mismatch");
 
   FrameView view;
   view.kind = static_cast<SnapshotKind>(raw_kind);
   view.payload = buffer.subspan(kFrameHeaderBytes, payload_len);
-  view.frame_size = static_cast<std::size_t>(frame_size);
+  view.frame_size = static_cast<std::size_t>(kFrameHeaderBytes + payload_len + kFrameCrcBytes);
   view.version = version;
+  return view;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> build_frame(SnapshotKind kind,
+                                      std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> out;
+  out.reserve(kFrameHeaderBytes + payload.size() + kFrameCrcBytes);
+  Writer w(out);
+  w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
+  w.u16(kSnapshotVersion);
+  w.u16(static_cast<std::uint16_t>(kind));
+  w.u64(payload.size());
+  w.raw(payload.data(), payload.size());
+  w.u32(crc32(out.data(), out.size()));
+  return out;
+}
+
+FrameView parse_frame(std::span<const std::uint8_t> buffer) {
+  const FrameView view = parse_header(buffer);
+  const std::size_t covered = kFrameHeaderBytes + view.payload.size();
+  Reader crc_field(buffer.subspan(covered, kFrameCrcBytes));
+  const std::uint32_t stored = crc_field.u32();
+  check(stored == crc32(buffer.data(), covered), WireError::kBadCrc,
+        "frame checksum mismatch");
+  return view;
+}
+
+FrameView view_verified_frame(std::span<const std::uint8_t> buffer) {
+  const FrameView view = parse_header(buffer);
+  check(view.frame_size == buffer.size(), WireError::kTrailingBytes,
+        "buffer continues past the frame");
   return view;
 }
 

@@ -100,6 +100,15 @@ std::vector<std::uint8_t> build_frame(SnapshotKind kind,
 /// advance. Throws WireFormatError on any violation.
 FrameView parse_frame(std::span<const std::uint8_t> buffer);
 
+/// View one whole frame that parse_frame() already validated, CRC
+/// included, and whose bytes were kept since: the header checks run
+/// again (O(1)), the CRC pass over the payload does not. For holders of
+/// verified frames only — the collector verifies each epoch frame once on
+/// arrival and re-verifies buffered frames when it restores them from a
+/// checkpoint. Throws WireFormatError on a malformed header, and
+/// kTrailingBytes when `buffer` continues past the frame.
+FrameView view_verified_frame(std::span<const std::uint8_t> buffer);
+
 /// Sanity cap a *stream* decoder applies to a declared payload length
 /// before buffering: a corrupt or hostile length field must produce a
 /// typed error, not a multi-gigabyte allocation inside a daemon. Large

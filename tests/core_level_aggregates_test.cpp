@@ -117,9 +117,8 @@ void expect_same_counters(const LevelAggregates& got, const LevelAggregates& wan
   EXPECT_EQ(harness::level_counters(got), harness::level_counters(want));
 }
 
-// Merging copies one table's slots into another that uses the same hash,
-// so the target sees keys in the source's bucket order. The result must
-// not depend on either side's capacity.
+// Merging sorts a map-authoritative side into a run and merges the runs.
+// The result must not depend on either side's capacity or view.
 TEST(LevelAggregates, MergeAcrossCapacitiesEqualsIngestingTheConcatenation) {
   const Hierarchy h = Hierarchy::byte_granularity();
   Rng rng(11);
@@ -141,20 +140,23 @@ TEST(LevelAggregates, MergeAcrossCapacitiesEqualsIngestingTheConcatenation) {
   for (const auto& [addr, bytes] : from_a) concat.add(addr, bytes);
   for (const auto& [addr, bytes] : from_b) concat.add(addr, bytes);
 
-  // A fresh 1024-slot target receiving both sources.
+  // A fresh target receiving both sources.
   LevelAggregates fresh(h);
   fresh.merge(a);
   fresh.merge(b);
   expect_same_counters(fresh, concat);
 
-  // A target that kept a far larger capacity through clear().
+  // A target that kept a far larger capacity through clear(). The merge
+  // builds the sorted run and leaves the kept table alone: the footprint
+  // grows by that one run, whose vector growth at most doubles it.
   LevelAggregates wide(h);
   fill(wide, 200000, 1u << 30);
   const std::size_t wide_memory = wide.memory_bytes();
   wide.clear();
   wide.merge(b);
   wide.merge(a);
-  EXPECT_EQ(wide.memory_bytes(), wide_memory);
+  EXPECT_LE(wide.memory_bytes(),
+            wide_memory + 2 * wide.leaves() * sizeof(LevelAggregates::Entry));
   expect_same_counters(wide, concat);
 
   // The smaller table merged into the larger one.

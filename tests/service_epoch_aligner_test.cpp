@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "service/epoch_aligner.hpp"
+#include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
 
 namespace hhh::service {
@@ -23,7 +24,12 @@ AlignerParams params(std::size_t expected = 0) {
                        .expected_vantages = expected};
 }
 
-std::vector<std::uint8_t> inner(std::uint8_t tag) { return {tag, tag, tag}; }
+// A whole frame, as parse_epoch hands the aligner: a restored aligner
+// verifies every buffered frame again.
+std::vector<std::uint8_t> inner(std::uint8_t tag) {
+  const std::vector<std::uint8_t> payload{tag, tag, tag};
+  return wire::build_frame(wire::SnapshotKind::kExactEngine, payload);
+}
 
 Offer offer_at(EpochAligner& aligner, const std::string& vantage, std::int64_t epoch,
                std::int64_t now, std::uint64_t seq = 0, std::int64_t skew = 0) {
@@ -254,6 +260,27 @@ TEST(EpochAligner, LoadRefusesANonFreshAligner) {
     FAIL() << "expected WireFormatError";
   } catch (const wire::WireFormatError& e) {
     EXPECT_EQ(e.code(), wire::WireError::kBadValue);
+  }
+}
+
+// Buffered frames are viewed without a second CRC pass at epoch close,
+// so a checkpoint is where a flipped bit must be caught: the restore
+// verifies every buffered frame again.
+TEST(EpochAligner, LoadRefusesABufferedFrameThatFailsItsCrc) {
+  EpochAligner source(params(2));
+  ASSERT_EQ(offer_at(source, "a", 0, 100), Offer::kAccepted);
+  std::vector<std::uint8_t> bytes;
+  wire::Writer w(bytes);
+  source.save_state(w);
+  bytes[bytes.size() - 6] ^= 0x01;  // a payload byte of the buffered frame
+
+  EpochAligner restored(params(2));
+  wire::Reader r(bytes);
+  try {
+    restored.load_state(r, 200);
+    FAIL() << "expected WireFormatError";
+  } catch (const wire::WireFormatError& e) {
+    EXPECT_EQ(e.code(), wire::WireError::kBadCrc);
   }
 }
 

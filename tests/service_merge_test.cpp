@@ -343,6 +343,35 @@ TEST(MergeLedger, SaveLoadRoundTripsGroupsAndTheLocallySeenUnion) {
   EXPECT_TRUE(hidden_contains(after, prefix("10.0.0.1/32")));
 }
 
+// An exact group writes its leaf block in ascending key order, so a
+// restored ledger (whose group is a decoded run, not the original hash
+// table) saves the same bytes.
+TEST(MergeLedger, ExactGroupSaveLoadSaveIsByteIdentical) {
+  MergeLedger ledger(Thresholds{.phi = 0.02});
+  for (std::uint64_t v = 0; v < 3; ++v) {
+    auto vantage = v4_engine();
+    vantage->add_batch(harness::TraceBuilder(40 + v).compact_space().packets(20000));
+    ledger.fold(engine_scope(std::move(vantage), "v" + std::to_string(v)));
+  }
+  MergeLedger epoch(Thresholds{.phi = 0.02});
+  auto late = v4_engine();
+  late->add_batch(harness::TraceBuilder(50).compact_space().packets(20000));
+  epoch.fold(engine_scope(std::move(late), "late"));
+  ledger.absorb(std::move(epoch));
+  const auto bytes = saved_state(ledger);
+
+  MergeLedger restored(Thresholds{.phi = 0.02});
+  wire::Reader r(bytes);
+  restored.load_state(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(saved_state(restored), bytes);
+  const LedgerReport before = ledger.report();
+  const LedgerReport after = restored.report();
+  ASSERT_EQ(after.groups.size(), 1u);
+  expect_same_set(after.groups[0].merged, before.groups[0].merged);
+  EXPECT_EQ(after.hidden, before.hidden);
+}
+
 TEST(MergeLedger, SavedGroupFramesAreTheCollectorsInputFormat) {
   MergeLedger ledger;
   auto a = v4_engine();

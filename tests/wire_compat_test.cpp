@@ -15,6 +15,7 @@
 // reproduces the engine state the fixtures captured.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "harness/engine_registry.hpp"
 #include "harness/golden.hpp"
 #include "harness/trace_builder.hpp"
+#include "util/random.hpp"
 #include "wire/codec.hpp"
 #include "wire/snapshot.hpp"
 
@@ -228,7 +230,7 @@ TEST(WireCompat, V3ExactPayloadHoldsOneLevelBlock) {
   EXPECT_EQ(wire::read_hierarchy(r), engine.aggregates().hierarchy());
   EXPECT_EQ(r.u64(), engine.total_bytes());
   const std::uint64_t leaves = r.u64();
-  EXPECT_EQ(leaves, engine.aggregates().leaf().size());
+  EXPECT_EQ(leaves, engine.aggregates().leaves());
   r.skip(leaves * 16);  // (u64 key, u64 bytes) per leaf counter
   EXPECT_TRUE(r.done()) << "bytes follow the leaf block";
   // Smaller than the every-level version-2 frame of the same stream.
@@ -247,6 +249,108 @@ TEST(WireCompat, V3TotalOtherThanTheLeafSumIsRejected) {
   put_little_endian(total, little_endian_u64(total) + 1, 8);
   reseal(frame);
   expect_bad_value(frame);
+}
+
+/// Frame offset of the leaf block's count word in a version-3 exact frame.
+std::size_t v3_leaf_count_offset(const std::vector<std::uint8_t>& frame) {
+  const wire::FrameView view = wire::parse_frame(frame);
+  wire::Reader r(view.payload, view.version);
+  (void)wire::read_hierarchy(r);
+  (void)r.u64();  // total
+  return wire::kFrameHeaderBytes + view.payload.size() - r.remaining();
+}
+
+template <typename F>
+void expect_wire_error(wire::WireError code, F&& decode) {
+  try {
+    decode();
+    FAIL() << "expected " << wire::to_string(code);
+  } catch (const wire::WireFormatError& e) {
+    EXPECT_EQ(e.code(), code) << e.what();
+  }
+}
+
+// This build writes the leaf block in ascending key order; writers before
+// it walked their hash map's slots. A block in any order loads to the same
+// state as its sorted twin, and re-encodes as that twin.
+TEST(WireCompat, V3LeafBlockInAnyOrderLoadsAsItsSortedTwin) {
+  ExactEngine engine(Hierarchy::byte_granularity());
+  engine.add_batch(fixture_workload());
+  const auto sorted = wire::save_engine(engine);
+  auto shuffled = sorted;
+  const std::size_t count_at = v3_leaf_count_offset(shuffled);
+  const std::uint64_t n = little_endian_u64(shuffled.data() + count_at);
+  ASSERT_GT(n, 100u);
+  std::uint8_t* entries = shuffled.data() + count_at + 8;
+  Rng rng(5);
+  for (std::uint64_t i = n; i > 1; --i) {
+    std::swap_ranges(entries + 16 * (i - 1), entries + 16 * i, entries + 16 * rng.below(i));
+  }
+  reseal(shuffled);
+  ASSERT_NE(shuffled, sorted);
+
+  const auto restored = harness::as_engine(wire::load_engine(shuffled));
+  EXPECT_EQ(wire::save_engine(*restored), sorted);
+  for (const double phi : {0.01, 0.03, 0.2}) {
+    EXPECT_TRUE(harness::hhh_sets_equal(engine.extract(phi), restored->extract(phi)));
+  }
+}
+
+// The version-1 and version-2 fixtures were written in hash-slot order;
+// restored, they re-encode as the canonical frame of the same stream.
+TEST(WireCompat, OlderFixturesReencodeAsTheCanonicalFrame) {
+  ExactEngine live(Hierarchy::byte_granularity());
+  live.add_batch(fixture_workload());
+  for (const char* name : {"v1_exact.snap", "v2_exact.snap"}) {
+    SCOPED_TRACE(name);
+    const auto restored = wire::load_engine(fixture_bytes(name));
+    EXPECT_EQ(wire::save_engine(*restored), wire::save_engine(live));
+  }
+}
+
+// A repeated leaf key is corrupt input whether the copies sit next to each
+// other or apart (the decoder sorts an out-of-order block once, then finds
+// the copies adjacent). The counters are untouched, so the total still
+// matches and only the duplicate check can fire.
+TEST(WireCompat, V3DuplicateLeafKeyIsBadValueAdjacentOrApart) {
+  ExactEngine engine(Hierarchy::byte_granularity());
+  engine.add_batch(fixture_workload());
+  const auto frame = wire::save_engine(engine);
+  const std::size_t count_at = v3_leaf_count_offset(frame);
+  const std::uint64_t n = little_endian_u64(frame.data() + count_at);
+  for (const std::uint64_t copy_to : {std::uint64_t{1}, n - 1}) {
+    SCOPED_TRACE(copy_to);
+    auto corrupt = frame;
+    std::uint8_t* entries = corrupt.data() + count_at + 8;
+    std::copy(entries, entries + 8, entries + 16 * copy_to);  // key 0 over key copy_to
+    reseal(corrupt);
+    expect_bad_value(corrupt);
+  }
+}
+
+// A leaf count the payload cannot hold fails as truncated input before
+// the decoder sizes anything by it (a reserve of that many entries would
+// throw std::length_error instead).
+TEST(WireCompat, LeafCountBeyondThePayloadIsTruncated) {
+  ExactEngine v4(Hierarchy::byte_granularity());
+  v4.add_batch(fixture_workload());
+  auto v6 = make_exact_engine(Hierarchy::v6_byte_granularity());
+  v6->add_batch(harness::TraceBuilder(77).compact_space().v6_fraction(1.0).packets(3000));
+  constexpr std::uint64_t kCompactFlag = 1ULL << 63;
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> frame;
+    std::uint64_t count;
+  };
+  for (const Case& c : {Case{"v4", wire::save_engine(v4), 1ULL << 60},
+                        Case{"v6 compact", wire::save_engine(*v6), kCompactFlag | 1ULL << 60},
+                        Case{"v6 per-entry", wire::save_engine(*v6), 1ULL << 60}}) {
+    SCOPED_TRACE(c.name);
+    auto frame = c.frame;
+    put_little_endian(frame.data() + v3_leaf_count_offset(frame), c.count, 8);
+    reseal(frame);
+    expect_wire_error(wire::WireError::kTruncated, [&] { (void)wire::load_engine(frame); });
+  }
 }
 
 TEST(WireCompat, UnknownVersionRejected) {

@@ -12,6 +12,7 @@
 // births per report, transient fraction (prefixes that never survive two
 // consecutive reports), and the median HHH lifetime.
 #include <cstdio>
+#include <memory>
 
 #include "analysis/churn.hpp"
 #include "analysis/table.hpp"
@@ -40,36 +41,35 @@ int main(int argc, char** argv) {
   ChurnAnalysis sliding_churn;
   ChurnAnalysis tdbf_churn;
 
+  // Both window models run as pipelines over the same trace.
   const TimePoint end = packets.back().ts;
-  {
+  const auto run = [&](std::unique_ptr<HhhSummary> summary,
+                       std::unique_ptr<pipeline::WindowPolicy> policy, ChurnAnalysis& churn) {
     pipeline::PipelineConfig config;
     config.phi = phi;
     config.finish_at = end;
     config.metrics = false;
-    pipeline::Pipeline disjoint(
-        pipeline::make_span_source(packets),
-        pipeline::make_engine_stage(make_exact_engine(Hierarchy::byte_granularity())),
-        pipeline::make_disjoint_policy(window), config);
-    disjoint.add_sink(pipeline::make_callback_sink(
-        [&](const WindowReport& r) { disjoint_churn.add_report(r.hhhs.prefixes()); }));
-    disjoint.run();
-  }
+    pipeline::Pipeline pipe(pipeline::make_span_source(packets),
+                            pipeline::make_engine_stage(std::move(summary)), std::move(policy),
+                            config);
+    pipe.add_sink(pipeline::make_callback_sink(
+        [&](const WindowReport& r) { churn.add_report(r.hhhs.prefixes()); }));
+    pipe.run();
+  };
+  run(make_exact_engine(Hierarchy::byte_granularity()), pipeline::make_disjoint_policy(window),
+      disjoint_churn);
+  run(make_exact_sliding_summary({.window = window, .step = step}),
+      pipeline::make_sliding_policy(window, step), sliding_churn);
 
-  SlidingWindowHhhDetector sliding({.window = window, .step = step, .phi = phi});
-  sliding.set_on_report(
-      [&](const WindowReport& r) { sliding_churn.add_report(r.hhhs.prefixes()); });
   TimeDecayingHhhDetector tdbf(TimeDecayingHhhDetector::for_window(window));
-
   TimePoint next_snapshot = TimePoint() + window;
   for (const auto& p : packets) {
-    sliding.offer(p);
     tdbf.offer(p);
     if (p.ts >= next_snapshot) {
       tdbf_churn.add_report(tdbf.report(p.ts, phi).prefixes());
       next_snapshot += step;
     }
   }
-  sliding.finish(end);
   disjoint_churn.finish();
   sliding_churn.finish();
   tdbf_churn.finish();

@@ -44,12 +44,10 @@ int main(int argc, char** argv) {
                  "grows with distinct prefixes per window"});
   }
   {
-    SlidingWindowHhhDetector det({.window = Duration::seconds(10),
-                                  .step = Duration::seconds(1), .phi = 0.05});
-    for (const auto& p : packets) det.offer(p);
-    det.finish(packets.back().ts);
+    ExactSlidingSummary det({.window = Duration::seconds(10), .step = Duration::seconds(1)});
+    det.add_batch(packets);
     mem.add_row({"exact sliding (W=10s,s=1s)", human_bytes(det.memory_bytes()),
-                 "rolling counts + step buckets"});
+                 "window counts + one leaf run per step"});
   }
   {
     RhhhEngine engine({.counters_per_level = 512});

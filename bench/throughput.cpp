@@ -21,6 +21,7 @@
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/ancestry_hhh.hpp"
@@ -340,11 +341,12 @@ SaturationResult measure_live_saturation(const std::vector<PacketRecord>& packet
 
 // --- sliding-window section --------------------------------------------------
 
-/// One sliding-window detector row: offer() vs batch packet rate (the
-/// JSON keeps the `offer_batch_pps` key), plus precision/recall of
-/// report(trace end, phi) against the exact
-/// trailing-window HHH set — throughput numbers are only comparable when
-/// the detectors answer (roughly) the same question.
+/// One sliding-window summary row: packet rate of add_batch over
+/// one-packet spans and over batch_size chunks (the JSON keeps the
+/// `offer_pps`/`offer_batch_pps` keys), plus precision/recall of its
+/// report against the exact sliding summary's at the same instant —
+/// throughput numbers are only comparable when the summaries answer
+/// (roughly) the same question.
 struct SlidingResult {
   std::string name;
   std::string family;  ///< "v4" | "v6"
@@ -353,18 +355,6 @@ struct SlidingResult {
   double precision = 1.0;
   double recall = 1.0;
 };
-
-/// Exact HHHs of the trailing `window` ending at the trace's last packet.
-template <typename D>
-HhhSet trailing_exact(const std::vector<PacketRecord>& packets, const Hierarchy& hierarchy,
-                      Duration window, double phi) {
-  BasicLevelAggregates<D> agg(hierarchy);
-  const TimePoint cutoff = packets.back().ts - window;
-  for (const auto& p : packets) {
-    if (p.ts > cutoff) agg.add(p.src(), p.ip_len);
-  }
-  return extract_hhh_relative(agg, phi);
-}
 
 void score_against(const HhhSet& exact, const HhhSet& approx, SlidingResult* row) {
   const auto got = approx.prefixes(), truth = exact.prefixes();
@@ -378,40 +368,29 @@ void score_against(const HhhSet& exact, const HhhSet& approx, SlidingResult* row
       truth.empty() ? 1.0 : static_cast<double>(hits) / static_cast<double>(truth.size());
 }
 
-/// Batch ingest of one sliding row: Memento detectors take runs through
-/// HhhSummary::add_batch, the exact sliding detector through its own
-/// offer_batch.
-void ingest_batch(HhhSummary& det, std::span<const PacketRecord> run) { det.add_batch(run); }
-void ingest_batch(SlidingWindowHhhDetector& det, std::span<const PacketRecord> run) {
-  det.offer_batch(run);
-}
-
-/// Times one sliding detector's offer() loop and batch-ingest chunks
-/// (best of repeats, like measure_engine), then replays once more through
-/// ingest_batch to score accuracy at the end of the trace. `query` maps a
-/// finished detector to its HhhSet — empty optional-ish behaviour is not
-/// needed; the exact detector passes a no-op and keeps the 1.0 defaults
-/// (its rolling counters ARE the ground truth).
-template <typename MakeDet, typename Query>
+/// Times one sliding summary's ingestion (best of repeats, like
+/// measure_engine), then replays once more and scores report(at, phi)
+/// against `truth`.
+template <typename MakeDet>
 SlidingResult measure_sliding(const std::string& name, const std::string& family,
-                              MakeDet&& make, Query&& query,
-                              const std::vector<PacketRecord>& packets,
+                              MakeDet&& make, const std::vector<PacketRecord>& packets,
+                              const HhhSet& truth, TimePoint at, double phi,
                               const ThroughputOptions& opt) {
   SlidingResult result;
   result.name = name;
   result.family = family;
-  result.offer_pps = best_pps(opt.repeats, packets.size(), make, [&](auto& det) {
-    for (const auto& p : packets) det.offer(p);
+  result.offer_pps = best_pps(opt.repeats, packets.size(), make, [&](HhhSummary& det) {
+    for (const auto& p : packets) det.add_batch({&p, 1});
   });
-  result.offer_batch_pps = best_pps(opt.repeats, packets.size(), make, [&](auto& det) {
+  result.offer_batch_pps = best_pps(opt.repeats, packets.size(), make, [&](HhhSummary& det) {
     const std::span<const PacketRecord> all(packets);
     for (std::size_t i = 0; i < all.size(); i += opt.batch_size) {
-      ingest_batch(det, all.subspan(i, std::min(opt.batch_size, all.size() - i)));
+      det.add_batch(all.subspan(i, std::min(opt.batch_size, all.size() - i)));
     }
   });
   auto det = make();
-  ingest_batch(*det, packets);
-  query(*det, &result);
+  det->add_batch(packets);
+  score_against(truth, det->report(at, phi), &result);
   std::printf("%-14s %-3s  offer: %10.0f pps   offer_batch: %10.0f pps   "
               "precision %.2f  recall %.2f\n",
               result.name.c_str(), result.family.c_str(), result.offer_pps,
@@ -420,43 +399,45 @@ SlidingResult measure_sliding(const std::string& name, const std::string& family
 }
 
 /// Exact-sliding vs Memento over the same window/step/trace, v4 and v6.
-/// bench_diff.py holds the `memento >= 3x exact_sliding` gate against
-/// these rows.
+/// Every row is scored at the step boundary after the trace's last
+/// packet, where the exact summary and Memento (frames of one step) both
+/// cover the W/s steps [at - W, at). bench_diff.py holds the
+/// `memento >= 3x exact_sliding` gate against these rows.
 std::vector<SlidingResult> measure_sliding_section(const ThroughputOptions& opt,
                                                    Duration window, double phi) {
+  const Duration step = Duration::seconds(1);
+  // The step boundary after a trace's last packet, and the exact answer there.
+  const auto truth = [&](const std::vector<PacketRecord>& packets, const Hierarchy& hierarchy) {
+    const TimePoint at = TimePoint() + step * (packets.back().ts.ns() / step.ns() + 1);
+    auto exact = make_exact_sliding_summary(
+        {.window = window, .step = step, .hierarchy = hierarchy});
+    exact->add_batch(packets);
+    return std::pair{at, exact->report(at, phi)};
+  };
   std::vector<SlidingResult> rows;
   const auto& packets = stream();
-  const HhhSet exact_v4 =
-      trailing_exact<V4Domain>(packets, Hierarchy::byte_granularity(), window, phi);
-
+  const auto [at, exact_v4] = truth(packets, Hierarchy::byte_granularity());
   rows.push_back(measure_sliding(
       "exact_sliding", "v4",
       [&] {
-        return std::make_unique<SlidingWindowHhhDetector>(SlidingWindowHhhDetector::Params{
-            .window = window, .step = Duration::seconds(1), .phi = phi});
+        return std::make_unique<ExactSlidingSummary>(
+            ExactSlidingParams{.window = window, .step = step});
       },
-      [](SlidingWindowHhhDetector&, SlidingResult*) {}, packets, opt));
+      packets, exact_v4, at, phi, opt));
   rows.push_back(measure_sliding(
       "memento", "v4",
       [&] { return std::make_unique<MementoHhhDetector>(MementoHhhParams{.window = window}); },
-      [&](HhhSummary& det, SlidingResult* row) {
-        score_against(exact_v4, det.report(packets.back().ts, phi), row);
-      },
-      packets, opt));
+      packets, exact_v4, at, phi, opt));
 
   const auto& v6_packets = v6_stream();
-  const HhhSet exact_v6 =
-      trailing_exact<V6Domain>(v6_packets, Hierarchy::v6_byte_granularity(), window, phi);
+  const auto [v6_at, exact_v6] = truth(v6_packets, Hierarchy::v6_byte_granularity());
   rows.push_back(measure_sliding(
       "memento_v6", "v6",
       [&] {
         return std::make_unique<MementoHhhV6Detector>(MementoHhhParams{
             .hierarchy = Hierarchy::v6_byte_granularity(), .window = window});
       },
-      [&](HhhSummary& det, SlidingResult* row) {
-        score_against(exact_v6, det.report(v6_packets.back().ts, phi), row);
-      },
-      v6_packets, opt));
+      v6_packets, exact_v6, v6_at, phi, opt));
   return rows;
 }
 
@@ -569,13 +550,12 @@ int run_throughput_harness(const ThroughputOptions& opt) {
   }
   const SaturationResult saturation = measure_live_saturation(packets, opt);
 
-  // Sliding-window rows: the detectors answering "HHHs of the trailing W
-  // as of now" at the same window over the same trace. The v6 row has no
-  // exact counterpart — the exact sliding detector is v4-only; Memento's
-  // generic key layer is exactly what closes that gap.
+  // Sliding-window rows: the summaries answering "HHHs of the trailing W
+  // as of now" at the same window over the same trace. Both Memento rows
+  // are scored against the exact sliding summary of their family.
   const Duration sliding_window = Duration::seconds(10);
   const double sliding_phi = 0.05;
-  std::printf("\n== sliding window (W=%.0fs, phi=%.2f): offer vs offer_batch ==\n",
+  std::printf("\n== sliding window (W=%.0fs, phi=%.2f): add_batch of 1 vs of a batch ==\n",
               sliding_window.to_seconds(), sliding_phi);
   const std::vector<SlidingResult> sliding =
       measure_sliding_section(opt, sliding_window, sliding_phi);

@@ -8,7 +8,7 @@
 //
 //  * engine stage x disjoint policy (the deployed practice) — can only
 //    raise an alarm when a window closes;
-//  * exact sliding stage x sliding policy (step 1 s);
+//  * the exact sliding summary x sliding policy (step 1 s);
 //  * the Memento sliding stage x the same sliding policy — the sliding
 //    semantics at production (bounded-state, O(1)-update) cost;
 //  * the windowless TDBF stage x a 250 ms query cadence — no boundaries
@@ -22,6 +22,7 @@
 
 #include "core/exact_engine.hpp"
 #include "core/memento_hhh.hpp"
+#include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
 #include "pipeline/pipeline.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -93,8 +94,8 @@ int main() {
 
   const auto t_sliding = first_alarm(
       config,
-      pipeline::make_sliding_exact_stage(
-          {.window = window, .step = Duration::seconds(1), .phi = phi}),
+      pipeline::make_engine_stage(
+          make_exact_sliding_summary({.window = window, .step = Duration::seconds(1)})),
       pipeline::make_sliding_policy(window, Duration::seconds(1)), phi, attack_prefix);
 
   const auto t_memento = first_alarm(

@@ -1,36 +1,34 @@
 #include "analysis/hidden_analysis.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <stdexcept>
 
 #include "analysis/jaccard.hpp"
 #include "core/engine.hpp"
 #include "core/exact_hhh.hpp"
-#include "core/level_aggregates.hpp"
 #include "core/sliding_window.hpp"
 #include "pipeline/pipeline.hpp"
-#include "util/flat_hash_map.hpp"
 
 namespace hhh {
 
 namespace {
 
-/// The Fig. 1a model over a non-empty in-memory trace, run the way every
-/// vantage runs it: an exact engine behind the pipeline's disjoint policy,
-/// closing every window that ends by the last packet. Returns the number
-/// of windows closed.
-std::size_t run_disjoint(std::span<const PacketRecord> packets, Duration window, double phi,
-                         const Hierarchy& hierarchy,
-                         std::function<void(const WindowReport&)> on_report) {
+/// One window model over a non-empty in-memory trace, run the way every
+/// vantage runs it: `summary` behind `policy` in a pipeline, closing every
+/// report due by the last packet. Returns the number of reports.
+std::size_t run_model(std::span<const PacketRecord> packets,
+                      std::unique_ptr<HhhSummary> summary,
+                      std::unique_ptr<pipeline::WindowPolicy> policy, double phi,
+                      std::function<void(const WindowReport&)> on_report) {
   pipeline::PipelineConfig config;
   config.phi = phi;
   config.finish_at = packets.back().ts;
   config.metrics = false;
   pipeline::Pipeline pipe(pipeline::make_span_source(packets),
-                          pipeline::make_engine_stage(make_exact_engine(hierarchy)),
-                          pipeline::make_disjoint_policy(window), config);
+                          pipeline::make_engine_stage(std::move(summary)), std::move(policy),
+                          config);
   pipe.add_sink(pipeline::make_callback_sink(std::move(on_report)));
   return pipe.run().windows_closed;
 }
@@ -47,19 +45,16 @@ HiddenHhhResult analyze_hidden_hhh(std::span<const PacketRecord> packets,
   // retained (there are thousands of sliding reports).
   PrefixUnion disjoint_union;
   PrefixUnion sliding_union;
-  result.disjoint_windows =
-      run_disjoint(packets, params.window, params.phi, params.hierarchy,
-                   [&](const WindowReport& r) { disjoint_union.add(r.hhhs.prefixes()); });
+  result.disjoint_windows = run_model(
+      packets, make_exact_engine(params.hierarchy), pipeline::make_disjoint_policy(params.window),
+      params.phi, [&](const WindowReport& r) { disjoint_union.add(r.hhhs.prefixes()); });
+  result.sliding_reports = run_model(
+      packets,
+      make_exact_sliding_summary(
+          {.window = params.window, .step = params.step, .hierarchy = params.hierarchy}),
+      pipeline::make_sliding_policy(params.window, params.step), params.phi,
+      [&](const WindowReport& r) { sliding_union.add(r.hhhs.prefixes()); });
 
-  SlidingWindowHhhDetector sliding({.window = params.window,
-                                    .step = params.step,
-                                    .phi = params.phi,
-                                    .hierarchy = params.hierarchy});
-  sliding.set_on_report([&](const WindowReport& r) { sliding_union.add(r.hhhs.prefixes()); });
-  sliding.offer_batch(packets);
-  sliding.finish(packets.back().ts);
-
-  result.sliding_reports = sliding.reports().size();
   result.disjoint_prefixes = disjoint_union.values();
   result.sliding_prefixes = sliding_union.values();
   result.hidden = prefix_difference(result.sliding_prefixes, result.disjoint_prefixes);
@@ -73,8 +68,11 @@ HiddenHhhResult analyze_hidden_hhh(std::span<const PacketRecord> packets,
 
 namespace {
 
-/// One window-size slice of the grid: feeds both models once, extracts all
-/// thresholds together at every boundary.
+/// One window-size slice of the grid: one exact sliding summary, all
+/// thresholds extracted together at every step boundary. Every disjoint
+/// window is the sliding position ending at its boundary, so those sets
+/// serve the disjoint model too.
+template <typename D>
 std::vector<HiddenHhhResult> grid_for_window(std::span<const PacketRecord> packets,
                                              Duration window, Duration step,
                                              std::span<const double> phis,
@@ -88,12 +86,8 @@ std::vector<HiddenHhhResult> grid_for_window(std::span<const PacketRecord> packe
       window.ns() % step.ns() != 0) {
     return results;
   }
-  const std::size_t steps_per_window = static_cast<std::size_t>(window / step);
 
-  LevelAggregates rolling(hierarchy);
-  LevelAggregates disjoint(hierarchy);
-  FlatHashMap<std::uint32_t, std::uint64_t> bucket(4096);
-  std::deque<std::vector<std::pair<std::uint32_t, std::uint64_t>>> live_buckets;
+  BasicExactSlidingSummary<D> sliding({.window = window, .step = step, .hierarchy = hierarchy});
   std::vector<PrefixUnion> sliding_union(k);
   std::vector<PrefixUnion> disjoint_union(k);
   // Metric B state: sliding-revealed prefixes within the current disjoint
@@ -103,63 +97,38 @@ std::vector<HiddenHhhResult> grid_for_window(std::span<const PacketRecord> packe
   std::vector<std::size_t> windowed_union(k, 0);
   std::size_t disjoint_windows = 0;
   std::size_t sliding_reports = 0;
-  std::int64_t current_step = 0;
+  TimePoint step_end = TimePoint() + step;
 
-  const auto close_steps_before = [&](TimePoint t) {
-    while (TimePoint() + step * (current_step + 1) <= t) {
-      std::vector<std::pair<std::uint32_t, std::uint64_t>> frozen;
-      frozen.reserve(bucket.size());
-      bucket.for_each([&](std::uint32_t src, std::uint64_t& bytes) {
-        frozen.emplace_back(src, bytes);
-      });
-      bucket.clear();
-      live_buckets.push_back(std::move(frozen));
-      if (live_buckets.size() > steps_per_window) {
-        for (const auto& [src, bytes] : live_buckets.front()) {
-          rolling.remove(Ipv4Address(src), bytes);
-        }
-        live_buckets.pop_front();
+  const auto close_step = [&] {
+    if (step_end >= TimePoint() + window) {
+      const auto sets = extract_hhh_multi_relative(sliding.counters(step_end), phis);
+      const bool disjoint_end = step_end.ns() % window.ns() == 0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const auto prefixes = sets[i].prefixes();
+        sliding_union[i].add(prefixes);
+        window_sliding[i].add(prefixes);
+        if (!disjoint_end) continue;
+        // The window's D_i is one of its own sliding positions, so U_i
+        // holds it: |U_i ∪ D_i| = |U_i| and |U_i \ D_i| = |U_i| - |D_i|.
+        disjoint_union[i].add(prefixes);
+        windowed_union[i] += window_sliding[i].size();
+        windowed_hidden[i] += window_sliding[i].size() - prefixes.size();
+        window_sliding[i] = PrefixUnion();
       }
-      if (live_buckets.size() == steps_per_window) {
-        const auto sets = extract_hhh_multi_relative(rolling, phis);
-        for (std::size_t i = 0; i < k; ++i) {
-          const auto prefixes = sets[i].prefixes();
-          sliding_union[i].add(prefixes);
-          window_sliding[i].add(prefixes);
-        }
-        ++sliding_reports;
-      }
-      // Disjoint boundary coincides with every (window/step)-th step edge.
-      const std::int64_t step_end_ns = step.ns() * (current_step + 1);
-      if (step_end_ns % window.ns() == 0) {
-        const auto sets = extract_hhh_multi_relative(disjoint, phis);
-        for (std::size_t i = 0; i < k; ++i) {
-          const auto d = sets[i].prefixes();
-          disjoint_union[i].add(d);
-          // Metric B bookkeeping for this window.
-          const auto& u = window_sliding[i].values();
-          windowed_hidden[i] += prefix_difference(u, d).size();
-          PrefixUnion all;
-          all.add(u);
-          all.add(d);
-          windowed_union[i] += all.size();
-          window_sliding[i] = PrefixUnion();
-        }
-        disjoint.clear();
-        ++disjoint_windows;
-      }
-      ++current_step;
+      ++sliding_reports;
+      if (disjoint_end) ++disjoint_windows;
     }
+    step_end += step;
   };
 
-  for (const auto& p : packets) {
-    if (p.family() != AddressFamily::kIpv4) continue;  // v4 analysis
-    close_steps_before(p.ts);
-    rolling.add(p.src(), p.ip_len);
-    disjoint.add(p.src(), p.ip_len);
-    bucket[p.src().v4().bits()] += p.ip_len;
+  for (std::size_t i = 0; i < packets.size();) {
+    while (step_end <= packets[i].ts) close_step();
+    std::size_t j = i + 1;
+    while (j < packets.size() && packets[j].ts < step_end) ++j;
+    sliding.add_batch(packets.subspan(i, j - i));
+    i = j;
   }
-  close_steps_before(packets.back().ts);
+  while (step_end <= packets.back().ts) close_step();
 
   for (std::size_t i = 0; i < k; ++i) {
     results[i].disjoint_windows = disjoint_windows;
@@ -186,7 +155,9 @@ std::vector<std::vector<HiddenHhhResult>> analyze_hidden_hhh_grid(
   std::vector<std::vector<HiddenHhhResult>> grid;
   grid.reserve(windows.size());
   for (const Duration window : windows) {
-    grid.push_back(grid_for_window(packets, window, step, phis, hierarchy));
+    grid.push_back(hierarchy.family() == AddressFamily::kIpv4
+                       ? grid_for_window<V4Domain>(packets, window, step, phis, hierarchy)
+                       : grid_for_window<V6Domain>(packets, window, step, phis, hierarchy));
   }
   return grid;
 }
@@ -210,10 +181,9 @@ WindowSimilarityResult analyze_window_similarity(std::span<const PacketRecord> p
   for (const Duration delta : params.deltas) windows.push_back(params.baseline_window - delta);
   std::vector<std::vector<std::vector<PrefixKey>>> sets(windows.size());
   for (std::size_t d = 0; d < windows.size(); ++d) {
-    run_disjoint(packets, windows[d], params.phi, params.hierarchy,
-                 [&tiling = sets[d]](const WindowReport& r) {
-                   tiling.push_back(r.hhhs.prefixes());
-                 });
+    run_model(packets, make_exact_engine(params.hierarchy),
+              pipeline::make_disjoint_policy(windows[d]), params.phi,
+              [&tiling = sets[d]](const WindowReport& r) { tiling.push_back(r.hhhs.prefixes()); });
   }
 
   const auto& baseline = sets[0];

@@ -84,9 +84,10 @@ HiddenHhhResult analyze_hidden_hhh(std::span<const PacketRecord> packets,
                                    const HiddenHhhParams& params);
 
 /// Fig. 2, whole grid: every (window, phi) cell in one pass per window.
-/// Disjoint and sliding aggregates are maintained once per window size and
-/// all thresholds are extracted together (extract_hhh_multi), which is
-/// ~|phis|x cheaper than calling analyze_hidden_hhh per cell.
+/// One exact sliding summary per window size serves both models (each
+/// disjoint window is a sliding position) and all thresholds are
+/// extracted together (extract_hhh_multi), which is ~|phis|x cheaper than
+/// calling analyze_hidden_hhh per cell.
 /// Result indexing: [window_index][phi_index].
 std::vector<std::vector<HiddenHhhResult>> analyze_hidden_hhh_grid(
     std::span<const PacketRecord> packets, std::span<const Duration> windows,

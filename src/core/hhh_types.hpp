@@ -98,7 +98,8 @@ std::vector<PrefixKey> prefix_difference(const std::vector<PrefixKey>& a,
                                           const std::vector<PrefixKey>& b);
 
 /// One closed window's result: a disjoint window (pipeline disjoint
-/// policy) or a sliding step (SlidingWindowHhhDetector, sliding policy).
+/// policy) or a sliding step (the sliding policy over ExactSlidingSummary
+/// or a Memento detector).
 struct WindowReport {
   std::size_t index = 0;  ///< window ordinal (disjoint) / step ordinal (sliding)
   TimePoint start;        ///< window covers [start, end)

@@ -323,6 +323,37 @@ void BasicLevelAggregates<D>::freeze() {
 }
 
 template <typename D>
+typename BasicLevelAggregates<D>::Run BasicLevelAggregates<D>::release_run() {
+  freeze();
+  Run out = std::move(run_);
+  clear();
+  return out;
+}
+
+template <typename D>
+void BasicLevelAggregates<D>::subtract_run(std::span<const Entry> leaves) {
+  if (leaves.empty()) return;
+  freeze();
+  // `leaves` is a subset of the run's keys, in the same order: one cursor
+  // each, and the survivors are compacted in place.
+  std::size_t out = 0;
+  std::size_t j = 0;
+  for (std::size_t i = 0; i < run_.size(); ++i) {
+    Entry e = run_[i];
+    if (j < leaves.size() && leaves[j].first == e.first) {
+      assert(e.second >= leaves[j].second);
+      e.second -= leaves[j].second;
+      total_ -= leaves[j].second;
+      ++j;
+      if (e.second == 0) continue;
+    }
+    run_[out++] = e;
+  }
+  assert(j == leaves.size());
+  run_.resize(out);
+}
+
+template <typename D>
 void BasicLevelAggregates<D>::thaw() {
   leaf_.clear();
   leaf_.reserve(run_.size());

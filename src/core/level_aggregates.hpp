@@ -18,11 +18,12 @@
 ///
 /// freeze() radix-sorts the map into the run (the one leaf sort in src/);
 /// the next add/add_batch/remove thaws the run back into the map. merge()
-/// is a linear merge of two runs, and a decoded frame fills the run
-/// directly, so a collector that decodes, extracts and merges exact
-/// frames never sorts or hashes. Const readers of a map-authoritative
-/// instance sort into a caller-owned scratch run instead of caching one,
-/// so concurrent const calls stay safe.
+/// and subtract_run() are linear passes over two runs (the exact sliding
+/// window adds and expires whole steps this way), and a decoded frame
+/// fills the run directly, so a collector that decodes, extracts and
+/// merges exact frames never sorts or hashes. Const readers of a
+/// map-authoritative instance sort into a caller-owned scratch run
+/// instead of caching one, so concurrent const calls stay safe.
 ///
 /// Counters are erased when they return to zero so that a sliding window's
 /// working set stays proportional to the *window's* distinct prefixes, not
@@ -146,10 +147,19 @@ class BasicLevelAggregates {
   /// hierarchies differ.
   void merge(const BasicLevelAggregates& other);
 
+  /// Subtract the run of an instance that was merged in before (a step
+  /// leaving a sliding window): one linear pass, leaving this instance
+  /// run-authoritative. Counters that reach zero are erased.
+  void subtract_run(std::span<const Entry> leaves);
+
   /// Make the run the authoritative view: radix-sort the map into it
   /// unless the run is already current. A window close calls this once,
   /// so its report and its snapshot walk the same sorted leaves.
   void freeze();
+
+  /// Hand the leaves over as an ascending run and zero every counter (a
+  /// sliding window keeps each closed step this way).
+  Run release_run();
 
   /// Zero every counter (window boundary): empties both views and
   /// releases the run, so no second copy of the leaves outlives a window.

@@ -6,86 +6,84 @@
 
 namespace hhh {
 
-SlidingWindowHhhDetector::SlidingWindowHhhDetector(const Params& params)
+template <typename D>
+BasicExactSlidingSummary<D>::BasicExactSlidingSummary(const Params& params)
     : params_(params),
       steps_per_window_(0),
-      rolling_(params.hierarchy),
-      current_bucket_(4096) {
+      open_(params.hierarchy),
+      window_(params.hierarchy),
+      partial_(params.hierarchy) {
   if (params_.step.ns() <= 0 || params_.window.ns() <= 0) {
-    throw std::invalid_argument("SlidingWindowHhhDetector: window/step must be positive");
+    throw std::invalid_argument("ExactSlidingSummary: window/step must be positive");
   }
   if (params_.window.ns() % params_.step.ns() != 0) {
-    throw std::invalid_argument("SlidingWindowHhhDetector: window must be a multiple of step");
-  }
-  if (params_.phi <= 0.0 || params_.phi > 1.0) {
-    throw std::invalid_argument("SlidingWindowHhhDetector: phi outside (0,1]");
+    throw std::invalid_argument("ExactSlidingSummary: window must be a multiple of step");
   }
   steps_per_window_ = static_cast<std::size_t>(params_.window / params_.step);
 }
 
-void SlidingWindowHhhDetector::close_steps_before(TimePoint t) {
-  while (TimePoint() + params_.step * static_cast<std::int64_t>(current_step_ + 1) <= t) {
-    // Freeze the step's bucket.
-    Bucket frozen;
-    frozen.reserve(current_bucket_.size());
-    current_bucket_.for_each([&](std::uint32_t src, std::uint64_t& bytes) {
-      frozen.emplace_back(src, bytes);
-    });
-    current_bucket_.clear();
-    live_buckets_.push_back(std::move(frozen));
-
-    // Evict the bucket that just left the window.
-    if (live_buckets_.size() > steps_per_window_) {
-      for (const auto& [src, bytes] : live_buckets_.front()) {
-        rolling_.remove(Ipv4Address(src), bytes);
-      }
-      live_buckets_.pop_front();
+template <typename D>
+void BasicExactSlidingSummary<D>::close_steps_before(TimePoint t) {
+  while (watermark() + params_.step <= t) {
+    if (closed_.size() == steps_per_window_) {
+      window_.subtract_run(closed_.front());
+      closed_.pop_front();
     }
-
-    const TimePoint step_end =
-        TimePoint() + params_.step * static_cast<std::int64_t>(current_step_ + 1);
-    const bool full = live_buckets_.size() == steps_per_window_;
-    if (full || !params_.full_windows_only) {
-      WindowReport report;
-      report.index = current_step_;
-      report.end = step_end;
-      report.start = step_end - params_.window;
-      report.hhhs = extract_hhh_relative(rolling_, params_.phi);
-      if (on_report_) on_report_(report);
-      reports_.push_back(std::move(report));
+    if (open_.leaves() == 0) {
+      closed_.emplace_back();  // a silent step: no map walk
+    } else {
+      open_.freeze();
+      window_.merge(open_);
+      closed_.push_back(open_.release_run());
     }
-    ++current_step_;
+    ++open_step_;
   }
 }
 
-void SlidingWindowHhhDetector::offer(const PacketRecord& packet) {
-  if (packet.family() != AddressFamily::kIpv4) return;  // v4 rolling model
-  close_steps_before(packet.ts);
-  rolling_.add(packet.src(), packet.ip_len);
-  current_bucket_[packet.src().v4().bits()] += packet.ip_len;
-}
-
-void SlidingWindowHhhDetector::offer_batch(std::span<const PacketRecord> packets) {
-  // Same body as offer(), hoisted into one loop so the step-boundary
-  // check and the rolling adds stay in a single TU-local hot path.
-  for (const PacketRecord& packet : packets) {
-    if (packet.family() != AddressFamily::kIpv4) continue;
-    close_steps_before(packet.ts);
-    rolling_.add(packet.src(), packet.ip_len);
-    current_bucket_[packet.src().v4().bits()] += packet.ip_len;
+template <typename D>
+void BasicExactSlidingSummary<D>::add_batch(std::span<const PacketRecord> run) {
+  while (!run.empty()) {
+    close_steps_before(run.front().ts);
+    const TimePoint end = watermark() + params_.step;
+    std::size_t n = 1;
+    while (n < run.size() && run[n].ts < end) ++n;
+    open_.add_batch(run.first(n));
+    run = run.subspan(n);
   }
 }
 
-void SlidingWindowHhhDetector::finish(TimePoint end_of_stream) {
-  close_steps_before(end_of_stream);
+template <typename D>
+const BasicLevelAggregates<D>& BasicExactSlidingSummary<D>::counters(TimePoint now) {
+  close_steps_before(now);
+  if (now <= watermark()) return window_;
+  // Inside the open step: the oldest closed step has left the window and
+  // the open step's partial counts have joined it.
+  partial_ = window_;
+  if (closed_.size() == steps_per_window_) partial_.subtract_run(closed_.front());
+  partial_.merge(open_);
+  return partial_;
 }
 
-std::size_t SlidingWindowHhhDetector::memory_bytes() const noexcept {
-  std::size_t sum = rolling_.memory_bytes() + current_bucket_.memory_bytes();
-  for (const auto& b : live_buckets_) {
-    sum += b.capacity() * sizeof(Bucket::value_type);
-  }
+template <typename D>
+HhhSet BasicExactSlidingSummary<D>::report(TimePoint now, double phi) {
+  return extract_hhh_relative(counters(now), phi);
+}
+
+template <typename D>
+std::size_t BasicExactSlidingSummary<D>::memory_bytes() const {
+  std::size_t sum = open_.memory_bytes() + window_.memory_bytes() + partial_.memory_bytes();
+  for (const Run& run : closed_) sum += run.capacity() * sizeof(typename Run::value_type);
   return sum;
+}
+
+template class BasicExactSlidingSummary<V4Domain>;
+template class BasicExactSlidingSummary<V6Domain>;
+
+std::unique_ptr<HhhSummary> make_exact_sliding_summary(const ExactSlidingParams& params) {
+  if (params.hierarchy.family() == AddressFamily::kIpv4) {
+    return std::make_unique<ExactSlidingSummary>(params);
+  }
+  return std::make_unique<ExactSlidingSummaryV6>(params);
 }
 
 }  // namespace hhh

@@ -78,63 +78,10 @@ class SummaryStage final : public MeasurementStage {
   std::unique_ptr<HhhEngine> folded_;
 };
 
-class SlidingExactStage final : public MeasurementStage {
- public:
-  explicit SlidingExactStage(const SlidingWindowHhhDetector::Params& params)
-      : params_(params), detector_(params) {}
-
-  void ingest(std::span<const PacketRecord> run) override {
-    detector_.offer_batch(run);
-  }
-
-  HhhSet report(const WindowEvent& event, double phi) override {
-    // The detector computes at its construction-time Params::phi; a
-    // pipeline configured with a different phi (or with the absolute
-    // threshold_bytes mode, which derives a per-window phi) would be
-    // silently ignored — reject instead.
-    if (phi != params_.phi) {
-      throw std::logic_error(
-          "SlidingExactStage reports at its construction phi: set "
-          "PipelineConfig::phi to the same value and do not use "
-          "threshold_bytes with this stage");
-    }
-    // Close every step up to the event boundary, then hand back the
-    // detector's own report for this step — the stage never recomputes,
-    // so pipeline reports are byte-identical to the detector's. Handed-out
-    // reports are discarded so a long-running pipeline stays bounded.
-    detector_.finish(event.end);
-    for (auto it = detector_.reports().rbegin(); it != detector_.reports().rend(); ++it) {
-      if (it->index == event.index) {
-        HhhSet result = it->hhhs;
-        last_total_bytes_ = result.total_bytes;
-        detector_.discard_reports();
-        return result;
-      }
-    }
-    throw std::logic_error(
-        "SlidingExactStage: policy schedule does not match the detector's "
-        "(window/step/full_windows_only must agree)");
-  }
-
-  std::uint64_t total_bytes() const override { return last_total_bytes_; }
-  std::size_t memory_bytes() const override { return detector_.memory_bytes(); }
-  std::string name() const override { return "sliding_exact"; }
-
- private:
-  SlidingWindowHhhDetector::Params params_;
-  SlidingWindowHhhDetector detector_;
-  std::uint64_t last_total_bytes_ = 0;  // of the most recent report
-};
-
 }  // namespace
 
 std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhSummary> summary) {
   return std::make_unique<SummaryStage>(std::move(summary));
-}
-
-std::unique_ptr<MeasurementStage> make_sliding_exact_stage(
-    const SlidingWindowHhhDetector::Params& params) {
-  return std::make_unique<SlidingExactStage>(params);
 }
 
 }  // namespace hhh::pipeline

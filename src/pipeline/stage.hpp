@@ -9,12 +9,11 @@
 ///    resets the state (disjoint) or not (sliding/decaying);
 ///  * the stage decides *how* the report is computed: HhhSummary::report
 ///    at the event's end — extract() on a resettable HhhEngine, a
-///    trailing-window query on a Memento detector, a continuous-time
-///    query on decaying TDBF state — or, for the one named exception,
-///    the exact rolling sliding-window computation.
+///    trailing-window query on a Memento detector or on the exact sliding
+///    summary, a continuous-time query on decaying TDBF state.
 ///
 /// Stage + policy pairings mirror the paper's models: engine x disjoint
-/// (Fig. 1a), memento/sliding-exact x sliding (Fig. 1b), tdbf x query
+/// (Fig. 1a), memento/exact sliding x sliding (Fig. 1b), tdbf x query
 /// cadence (§3's windowless monitor). Every HhhSummary shares one
 /// adapter, make_engine_stage().
 #pragma once
@@ -26,7 +25,6 @@
 #include <vector>
 
 #include "core/hhh_types.hpp"
-#include "core/sliding_window.hpp"
 #include "core/summary.hpp"
 #include "net/packet.hpp"
 #include "pipeline/window_policy.hpp"
@@ -80,19 +78,11 @@ class MeasurementStage {
 /// sharded, ...) pair with the disjoint policy. Memento detectors pair
 /// with the sliding policy (step <= window; step should divide the frame
 /// length W/frames so report boundaries align with frame boundaries);
-/// their reset() is a no-op. The TDBF detector pairs with the
-/// query-cadence policy and is not serializable. A sharded front-end is
-/// folded once per report and the fold also serves the snapshot.
+/// their reset() is a no-op. The exact sliding summary pairs with a
+/// sliding policy of its own window and step. The TDBF detector pairs
+/// with the query-cadence policy. Neither is serializable. A sharded
+/// front-end is folded once per report and the fold also serves the
+/// snapshot.
 std::unique_ptr<MeasurementStage> make_engine_stage(std::unique_ptr<HhhSummary> summary);
-
-/// Exact sliding-window stage over SlidingWindowHhhDetector. The policy's
-/// sliding schedule must match the detector's (same window/step/
-/// full_windows_only) — make_sliding_policy(params.window, params.step,
-/// params.full_windows_only) — because the stage pulls the detector's own
-/// step reports. Reports are computed at params.phi: PipelineConfig::phi
-/// must equal it and the absolute threshold_bytes mode is rejected
-/// (std::logic_error). Not serializable.
-std::unique_ptr<MeasurementStage> make_sliding_exact_stage(
-    const SlidingWindowHhhDetector::Params& params);
 
 }  // namespace hhh::pipeline

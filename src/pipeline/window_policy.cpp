@@ -8,7 +8,7 @@ namespace {
 
 /// Shared arithmetic for evenly spaced boundaries at multiples of `period`
 /// from t=0: boundary k is at (k+1)*period — the same step arithmetic
-/// SlidingWindowHhhDetector uses, so its step reports and the sliding
+/// the exact sliding summary uses, so its step ends and the sliding
 /// policy's events land on identical instants.
 class PeriodicPolicy : public WindowPolicy {
  public:

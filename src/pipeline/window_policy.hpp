@@ -71,8 +71,8 @@ std::unique_ptr<WindowPolicy> make_disjoint_policy(Duration window);
 /// model): event k covers ((k+1)*s - W, (k+1)*s]. With `full_windows_only`
 /// (the paper's methodology) the schedule starts at the first step with a
 /// full window of history, i.e. index W/s - 1. Closing never resets — the
-/// stage's state must expire by time (Memento frames, the exact rolling
-/// detector's buckets). Requires window % step == 0.
+/// stage's state must expire by time (Memento frames, the exact sliding
+/// summary's steps). Requires window % step == 0.
 std::unique_ptr<WindowPolicy> make_sliding_policy(Duration window, Duration step,
                                                   bool full_windows_only = true);
 

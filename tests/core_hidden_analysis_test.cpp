@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "core/exact_hhh.hpp"
+#include "harness/trace_builder.hpp"
 #include "util/random.hpp"
 
 namespace hhh {
@@ -99,6 +101,50 @@ TEST(HiddenAnalysis, CountsWindowsAndSteps) {
   // t=5..21 -> 17? (last packet at 20.99 closes steps through 20).
   EXPECT_EQ(result.disjoint_windows, 4u);
   EXPECT_GE(result.sliding_reports, 15u);
+}
+
+TEST(HiddenAnalysis, V6MatchesBruteForceUnions) {
+  // Both entry points run on a v6 hierarchy, and their hidden set is the
+  // brute-force sliding union minus the brute-force disjoint union.
+  const auto packets =
+      harness::TraceBuilder(0x6D1D).compact_space().v6_fraction(1.0).duration_seconds(24.0).all();
+  ASSERT_FALSE(packets.empty());
+  const Hierarchy hierarchy = Hierarchy::v6_byte_granularity();
+  const Duration window = Duration::seconds(6);
+  const Duration step = Duration::seconds(2);
+  const std::vector<double> phis = {0.05, 0.2};
+
+  const auto brute_union = [&](Duration stride) {
+    std::vector<PrefixUnion> unions(phis.size());
+    for (TimePoint end = TimePoint() + window; end <= packets.back().ts; end += stride) {
+      std::vector<PacketRecord> in_window;
+      for (const auto& p : packets) {
+        if (p.ts >= end - window && p.ts < end) in_window.push_back(p);
+      }
+      for (std::size_t i = 0; i < phis.size(); ++i) {
+        unions[i].add(exact_hhh_of(in_window, hierarchy, phis[i]).prefixes());
+      }
+    }
+    return unions;
+  };
+  const auto sliding = brute_union(step);
+  const auto disjoint = brute_union(window);
+
+  const std::vector<Duration> windows = {window};
+  const auto grid = analyze_hidden_hhh_grid(packets, windows, step, phis, hierarchy);
+  for (std::size_t i = 0; i < phis.size(); ++i) {
+    const auto cell = analyze_hidden_hhh(
+        packets, {.window = window, .step = step, .phi = phis[i], .hierarchy = hierarchy});
+    const auto expected = prefix_difference(sliding[i].values(), disjoint[i].values());
+    ASSERT_FALSE(sliding[i].values().empty());
+    EXPECT_FALSE(sliding[i].values().front().is_v4());
+    EXPECT_EQ(cell.sliding_prefixes, sliding[i].values()) << "phi " << phis[i];
+    EXPECT_EQ(cell.disjoint_prefixes, disjoint[i].values()) << "phi " << phis[i];
+    EXPECT_EQ(cell.hidden, expected) << "phi " << phis[i];
+    EXPECT_EQ(grid[0][i].hidden, expected) << "phi " << phis[i];
+    EXPECT_EQ(grid[0][i].sliding_reports, cell.sliding_reports) << "phi " << phis[i];
+    EXPECT_EQ(grid[0][i].disjoint_windows, cell.disjoint_windows) << "phi " << phis[i];
+  }
 }
 
 // --- Figure 3 machinery -------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
 #include <vector>
 
 #include "core/exact_hhh.hpp"
@@ -50,6 +51,39 @@ TEST(LevelAggregates, RemoveUndoesAdd) {
   EXPECT_EQ(agg.total_bytes(), 50u);
   // Zeroed counters are erased, not kept as zombies.
   EXPECT_EQ(agg.distinct_at(0), 1u);
+}
+
+TEST(LevelAggregates, ReleasedRunsSubtractLikeTheirPackets) {
+  // A sliding window's step: merged into the window, released as a run,
+  // and later subtracted again, leaving exactly the other steps' counters.
+  const auto packets = harness::TraceBuilder(0x5EB).compact_space().packets(3000);
+  const auto half = std::span<const PacketRecord>(packets).first(1500);
+  const auto rest = std::span<const PacketRecord>(packets).subspan(1500);
+  LevelAggregates step(Hierarchy::byte_granularity());
+  LevelAggregates other(Hierarchy::byte_granularity());
+  step.add_batch(half);
+  other.add_batch(rest);
+  LevelAggregates window(Hierarchy::byte_granularity());
+  window.merge(step);
+  window.merge(other);
+  const LevelAggregates::Run leaves = step.release_run();
+  EXPECT_EQ(step.total_bytes(), 0u);
+  EXPECT_EQ(step.leaves(), 0u);
+  LevelAggregates::Run scratch;
+  LevelAggregates whole(Hierarchy::byte_granularity());
+  whole.add_batch(packets);
+  EXPECT_TRUE(harness::hhh_sets_equal(extract_hhh_relative(window, 0.02),
+                                      extract_hhh_relative(whole, 0.02)));
+  EXPECT_EQ(window.total_bytes(), whole.total_bytes());
+
+  window.subtract_run(leaves);
+  EXPECT_EQ(window.total_bytes(), other.total_bytes());
+  EXPECT_EQ(window.leaves(), other.leaves()) << "zeroed counters must be erased";
+  EXPECT_TRUE(harness::hhh_sets_equal(extract_hhh_relative(window, 0.02),
+                                      extract_hhh_relative(other, 0.02)));
+  window.subtract_run(other.sorted_leaves(scratch));
+  EXPECT_EQ(window.total_bytes(), 0u);
+  EXPECT_EQ(window.leaves(), 0u);
 }
 
 TEST(LevelAggregates, CountOfNonLevelPrefixIsZero) {

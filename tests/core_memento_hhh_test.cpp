@@ -8,8 +8,7 @@
 
 #include <algorithm>
 
-#include "core/exact_hhh.hpp"
-#include "core/level_aggregates.hpp"
+#include "core/sliding_window.hpp"
 #include "harness/golden.hpp"
 #include "trace/synthetic_trace.hpp"
 #include "wire/wire.hpp"
@@ -86,33 +85,50 @@ TEST(MementoHhh, HierarchicalAggregation) {
   EXPECT_FALSE(contains(result, pfx("10.1.2.1/32")));
 }
 
-TEST(MementoHhh, RecallAgainstExactSlidingWindow) {
+/// Recall of a Memento detector's report at t = 40 s against the exact
+/// sliding summary's over the same W/s steps [30 s, 40 s).
+template <typename Detector, typename Exact>
+double recall_at_40s(const Hierarchy& hierarchy, double v6_fraction) {
   TraceConfig cfg;
   cfg.seed = 77;
   cfg.duration = Duration::seconds(40);
   cfg.background_pps = 2000.0;
+  cfg.v6_fraction = v6_fraction;
   cfg.address_space.num_slash8 = 8;
   cfg.address_space.slash16_per_8 = 6;
   cfg.address_space.slash24_per_16 = 4;
   cfg.address_space.hosts_per_24 = 4;
   const auto packets = SyntheticTraceGenerator(cfg).generate_all();
 
-  MementoHhhDetector det(
-      {.window = Duration::seconds(10), .frames = 10, .counters_per_level = 1024});
-  LevelAggregates trailing(Hierarchy::byte_granularity());
-  for (const auto& p : packets) {
-    det.offer(p);
-    if (p.ts >= at(30.0)) trailing.add(p.src(), p.ip_len);
-  }
-  const auto exact = extract_hhh_relative(trailing, 0.05);
-  const auto approx = det.report(at(40.0), 0.05);
-  const auto approx_prefixes = approx.prefixes();
+  Detector det({.hierarchy = hierarchy,
+                .window = Duration::seconds(10),
+                .frames = 10,
+                .counters_per_level = 1024});
+  Exact exact({.window = Duration::seconds(10),
+               .step = Duration::seconds(1),
+               .hierarchy = hierarchy});
+  for (const auto& p : packets) det.offer(p);
+  exact.add_batch(packets);
+  const auto truth = exact.report(at(40.0), 0.05).prefixes();
+  const auto approx_prefixes = det.report(at(40.0), 0.05).prefixes();
   std::size_t recalled = 0;
-  for (const auto& p : exact.prefixes()) {
+  for (const auto& p : truth) {
     if (std::binary_search(approx_prefixes.begin(), approx_prefixes.end(), p)) ++recalled;
   }
-  ASSERT_FALSE(exact.prefixes().empty());
-  EXPECT_GE(static_cast<double>(recalled) / exact.prefixes().size(), 0.7);
+  EXPECT_FALSE(truth.empty());
+  return truth.empty() ? 0.0 : static_cast<double>(recalled) / truth.size();
+}
+
+TEST(MementoHhh, RecallAgainstExactSlidingWindow) {
+  EXPECT_GE((recall_at_40s<MementoHhhDetector, ExactSlidingSummary>(
+                Hierarchy::byte_granularity(), 0.0)),
+            0.7);
+}
+
+TEST(MementoHhh, V6RecallAgainstExactSlidingWindow) {
+  EXPECT_GE((recall_at_40s<MementoHhhV6Detector, ExactSlidingSummaryV6>(
+                Hierarchy::v6_byte_granularity(), 1.0)),
+            0.7);
 }
 
 TEST(MementoHhh, WindowTotalIsExactRegardlessOfSampling) {

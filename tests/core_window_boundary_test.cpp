@@ -6,12 +6,13 @@
 // lands in the *next* window, phi = 1.0 is a legal threshold, a single
 // packet is a complete window — and ill-behaved timestamps (duplicates on
 // a boundary, out-of-order arrivals around one) must resolve the same way
-// whatever the pipeline's batch size. The disjoint model (Fig. 1a) runs as
-// it does everywhere: an engine behind the pipeline's disjoint policy.
+// whatever the pipeline's batch size. Both models run as they do
+// everywhere: the disjoint model (Fig. 1a) as an engine behind the
+// pipeline's disjoint policy, the sliding model (Fig. 1b) as the exact
+// sliding summary behind the sliding policy.
 #include <gtest/gtest.h>
 
 #include "core/sharded_engine.hpp"
-#include "core/sliding_window.hpp"
 #include "harness/golden.hpp"
 #include "harness/pipeline_axis.hpp"
 #include "harness/trace_builder.hpp"
@@ -228,102 +229,100 @@ TEST(DisjointWindowBoundary, OutOfOrderWithinTheOpenWindowIsOrderInsensitive) {
   EXPECT_TRUE(harness::hhh_sets_equal(a[0].hhhs, b[0].hhhs));
 }
 
+// --- exact sliding summary through the pipeline ----------------------------
+
+/// Exact sliding reports of `packets` (step 1 s) through the pipeline.
+std::vector<WindowReport> sliding_reports(std::span<const PacketRecord> packets,
+                                          Duration window, double phi, TimePoint end,
+                                          std::size_t batch_size = 4096) {
+  return harness::sliding_pipeline_reports(
+      packets, {.window = window, .step = Duration::seconds(1)}, phi, end, batch_size);
+}
+
 TEST(SlidingWindowBoundary, DuplicateTimestampsOnAStepBoundary) {
   // Packets at exactly t = step close the step first: the step report
-  // covering (t-W, t] excludes them; they surface in the next step.
-  SlidingWindowHhhDetector det({.window = Duration::seconds(1),
-                                .step = Duration::seconds(1),
-                                .phi = 0.5});
-  det.offer(packet_at(0.5, kSrc, 100));
-  det.offer(packet_at(1.0, kSrc, 200));
-  det.offer(packet_at(1.0, Ipv4Address::of(10, 9, 9, 9), 300));
-  det.finish(TimePoint::from_seconds(2.0));
-  ASSERT_EQ(det.reports().size(), 2u);
-  EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 100u);
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 500u);
+  // covering [t-W, t) excludes them; they surface in the next step.
+  const std::vector<PacketRecord> packets = {packet_at(0.5, kSrc, 100),
+                                             packet_at(1.0, kSrc, 200),
+                                             packet_at(1.0, Ipv4Address::of(10, 9, 9, 9), 300)};
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{4096}}) {
+    const auto reports =
+        sliding_reports(packets, Duration::seconds(1), 0.5, TimePoint::from_seconds(2.0), batch);
+    ASSERT_EQ(reports.size(), 2u) << "batch " << batch;
+    EXPECT_EQ(reports[0].hhhs.total_bytes, 100u) << "batch " << batch;
+    EXPECT_EQ(reports[1].hhhs.total_bytes, 500u) << "batch " << batch;
+  }
 }
 
 TEST(SlidingWindowBoundary, OutOfOrderStragglerStaysInTheCurrentBucket) {
-  // A late packet (timestamp in an older step) is bucketed with the step
+  // A late packet (timestamp in an older step) is counted with the step
   // that is open on arrival, so it also *expires* with that step — the
-  // rolling counters never go negative and totals stay conserved.
-  SlidingWindowHhhDetector det({.window = Duration::seconds(2),
-                                .step = Duration::seconds(1),
-                                .phi = 0.5});
-  det.offer(packet_at(0.5, kSrc, 100));
-  det.offer(packet_at(1.5, kSrc, 200));
-  det.offer(packet_at(0.8, Ipv4Address::of(10, 9, 9, 9), 400));  // straggler
-  det.finish(TimePoint::from_seconds(5.0));
-  // Reports at t=2,3,4,5. (0,2] sees all 700; (1,3] drops the first step's
-  // 100 but keeps the straggler (bucketed at arrival, step 1); (2,4] and
-  // later are empty.
-  ASSERT_EQ(det.reports().size(), 4u);
-  EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 700u);
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 600u);
-  EXPECT_EQ(det.reports()[2].hhhs.total_bytes, 0u);
-  EXPECT_EQ(det.reports()[3].hhhs.total_bytes, 0u);
+  // window's counters never go negative and totals stay conserved.
+  const std::vector<PacketRecord> packets = {
+      packet_at(0.5, kSrc, 100), packet_at(1.5, kSrc, 200),
+      packet_at(0.8, Ipv4Address::of(10, 9, 9, 9), 400)};  // straggler
+  for (const std::size_t batch : {std::size_t{1}, std::size_t{4096}}) {
+    const auto reports =
+        sliding_reports(packets, Duration::seconds(2), 0.5, TimePoint::from_seconds(5.0), batch);
+    // Reports at t=2,3,4,5. [0,2) sees all 700; [1,3) drops the first
+    // step's 100 but keeps the straggler (counted at arrival, step 1);
+    // [2,4) and later are empty.
+    ASSERT_EQ(reports.size(), 4u) << "batch " << batch;
+    EXPECT_EQ(reports[0].hhhs.total_bytes, 700u) << "batch " << batch;
+    EXPECT_EQ(reports[1].hhhs.total_bytes, 600u) << "batch " << batch;
+    EXPECT_EQ(reports[2].hhhs.total_bytes, 0u) << "batch " << batch;
+    EXPECT_EQ(reports[3].hhhs.total_bytes, 0u) << "batch " << batch;
+  }
 }
 
-// --- SlidingWindowHhhDetector -----------------------------------------------
-
 TEST(SlidingWindowBoundary, EmptyStepsStillReport) {
-  SlidingWindowHhhDetector det({.window = Duration::seconds(2),
-                                .step = Duration::seconds(1),
-                                .phi = 0.05});
-  det.offer(packet_at(0.5, kSrc, 100));
-  det.finish(TimePoint::from_seconds(5.0));
-  // full_windows_only: first report at t = 2 (covering (0,2]); steps at
+  const std::vector<PacketRecord> packets = {packet_at(0.5, kSrc, 100)};
+  const auto reports =
+      sliding_reports(packets, Duration::seconds(2), 0.05, TimePoint::from_seconds(5.0));
+  // Full windows only: first report at t = 2 (covering [0,2)); steps at
   // t = 3, 4, 5 cover silent history.
-  ASSERT_EQ(det.reports().size(), 4u);
-  EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 100u);
-  for (std::size_t i = 1; i < det.reports().size(); ++i) {
-    EXPECT_EQ(det.reports()[i].hhhs.total_bytes, 0u) << "step " << i;
-    EXPECT_TRUE(det.reports()[i].hhhs.empty()) << "step " << i;
+  ASSERT_EQ(reports.size(), 4u);
+  EXPECT_EQ(reports[0].hhhs.total_bytes, 100u);
+  for (std::size_t i = 1; i < reports.size(); ++i) {
+    EXPECT_EQ(reports[i].hhhs.total_bytes, 0u) << "step " << i;
+    EXPECT_TRUE(reports[i].hhhs.empty()) << "step " << i;
   }
 }
 
 TEST(SlidingWindowBoundary, PacketLeavesExactlyWhenWindowPasses) {
-  // Window 2 s, step 1 s. A packet at t = 0.5 is inside windows ending at
-  // 2.0 (covers (0,2]) but outside the window ending at 3.0 (covers (1,3]).
-  SlidingWindowHhhDetector det({.window = Duration::seconds(2),
-                                .step = Duration::seconds(1),
-                                .phi = 0.5});
-  det.offer(packet_at(0.5, kSrc, 100));
-  det.finish(TimePoint::from_seconds(3.0));
-  ASSERT_EQ(det.reports().size(), 2u);
-  EXPECT_EQ(det.reports()[0].hhhs.total_bytes, 100u);
-  EXPECT_EQ(det.reports()[1].hhhs.total_bytes, 0u);
+  // Window 2 s, step 1 s. A packet at t = 0.5 is inside the window ending
+  // at 2.0 (covers [0,2)) but outside the one ending at 3.0 ([1,3)).
+  const std::vector<PacketRecord> packets = {packet_at(0.5, kSrc, 100)};
+  const auto reports =
+      sliding_reports(packets, Duration::seconds(2), 0.5, TimePoint::from_seconds(3.0));
+  ASSERT_EQ(reports.size(), 2u);
+  EXPECT_EQ(reports[0].hhhs.total_bytes, 100u);
+  EXPECT_EQ(reports[1].hhhs.total_bytes, 0u);
 }
 
 TEST(SlidingWindowBoundary, SinglePacketWindowAtPhiOne) {
-  SlidingWindowHhhDetector det({.window = Duration::seconds(1),
-                                .step = Duration::seconds(1),
-                                .phi = 1.0});
-  det.offer(packet_at(0.5, kSrc, 77));
-  det.finish(TimePoint::from_seconds(1.0));
-  ASSERT_EQ(det.reports().size(), 1u);
-  const auto& set = det.reports()[0].hhhs;
+  const std::vector<PacketRecord> packets = {packet_at(0.5, kSrc, 77)};
+  const auto reports =
+      sliding_reports(packets, Duration::seconds(1), 1.0, TimePoint::from_seconds(1.0));
+  ASSERT_EQ(reports.size(), 1u);
+  const auto& set = reports[0].hhhs;
   EXPECT_EQ(set.total_bytes, 77u);
   EXPECT_EQ(set.threshold_bytes, 77u);
   EXPECT_TRUE(harness::hhh_set_covers(set, {Ipv4Prefix(kSrc, 32)}));
 }
 
 TEST(SlidingWindowBoundary, FirstFullWindowMatchesDisjointFirstWindow) {
-  // With step == window the sliding detector degenerates to disjoint
+  // With step == window the sliding model degenerates to disjoint
   // tiling; both must produce identical exact HHH sets per window.
   const auto packets =
       harness::TraceBuilder(0x81D6E).compact_space().duration_seconds(4.0).packets(6000);
-  SlidingWindowHhhDetector sliding({.window = Duration::seconds(1),
-                                    .step = Duration::seconds(1),
-                                    .phi = 0.02});
-  for (const auto& p : packets) sliding.offer(p);
   const TimePoint end = TimePoint::from_seconds(4.0);
-  sliding.finish(end);
+  const auto sliding = sliding_reports(packets, Duration::seconds(1), 0.02, end);
   const auto disjoint = pipeline_reports(packets, Duration::seconds(1), 0.02, end);
-  ASSERT_EQ(disjoint.size(), sliding.reports().size());
+  ASSERT_EQ(disjoint.size(), sliding.size());
   for (std::size_t i = 0; i < disjoint.size(); ++i) {
-    EXPECT_TRUE(harness::hhh_sets_equal(disjoint[i].hhhs, sliding.reports()[i].hhhs))
-        << "window " << i;
+    EXPECT_EQ(disjoint[i].end, sliding[i].end) << "window " << i;
+    EXPECT_TRUE(harness::hhh_sets_equal(disjoint[i].hhhs, sliding[i].hhhs)) << "window " << i;
   }
 }
 

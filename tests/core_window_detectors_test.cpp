@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "core/exact_hhh.hpp"
@@ -109,42 +110,55 @@ TEST(DisjointWindow, RejectsBadParams) {
   EXPECT_THROW(disjoint_reports({}, Duration::seconds(1), 1.5, end), std::invalid_argument);
 }
 
-// --- Sliding window ----------------------------------------------------------
+// --- Sliding window (the exact sliding summary behind the sliding policy) --
+
+std::vector<WindowReport> sliding_reports(const std::vector<PacketRecord>& packets,
+                                          const ExactSlidingParams& params, double phi,
+                                          TimePoint end, bool full_windows_only = true) {
+  return harness::sliding_pipeline_reports(packets, params, phi, end, 4096, full_windows_only);
+}
 
 TEST(SlidingWindow, RequiresWindowMultipleOfStep) {
-  EXPECT_THROW(SlidingWindowHhhDetector({.window = Duration::seconds(10),
-                                         .step = Duration::seconds(3)}),
+  const ExactSlidingParams params{.window = Duration::seconds(10), .step = Duration::seconds(3)};
+  EXPECT_THROW(ExactSlidingSummary{params}, std::invalid_argument);
+  EXPECT_THROW(make_exact_sliding_summary(params), std::invalid_argument);
+  EXPECT_THROW(ExactSlidingSummary({.window = Duration::seconds(1), .step = Duration()}),
                std::invalid_argument);
+  EXPECT_THROW(
+      ExactSlidingSummary({.window = Duration::seconds(1),
+                           .step = Duration::seconds(1),
+                           .hierarchy = Hierarchy::v6_byte_granularity()}),
+      std::invalid_argument);
 }
 
 TEST(SlidingWindow, FirstReportAfterFullWindow) {
-  SlidingWindowHhhDetector det({.window = Duration::seconds(5),
-                                .step = Duration::seconds(1),
-                                .phi = 0.1});
-  for (int t = 0; t < 10; ++t) det.offer(pkt(t + 0.5, ip("10.0.0.1"), 100));
-  det.finish(TimePoint::from_seconds(10.0));
+  std::vector<PacketRecord> packets;
+  for (int t = 0; t < 10; ++t) packets.push_back(pkt(t + 0.5, ip("10.0.0.1"), 100));
+  const auto reports = sliding_reports(
+      packets, {.window = Duration::seconds(5), .step = Duration::seconds(1)}, 0.1,
+      TimePoint::from_seconds(10.0));
   // Steps 0..9 close; full windows exist from step index 4 (end t=5).
-  ASSERT_EQ(det.reports().size(), 6u);
-  EXPECT_DOUBLE_EQ(det.reports()[0].end.to_seconds(), 5.0);
-  EXPECT_DOUBLE_EQ(det.reports()[0].start.to_seconds(), 0.0);
-  EXPECT_DOUBLE_EQ(det.reports().back().end.to_seconds(), 10.0);
+  ASSERT_EQ(reports.size(), 6u);
+  EXPECT_EQ(reports[0].index, 4u);
+  EXPECT_DOUBLE_EQ(reports[0].end.to_seconds(), 5.0);
+  EXPECT_DOUBLE_EQ(reports[0].start.to_seconds(), 0.0);
+  EXPECT_DOUBLE_EQ(reports.back().end.to_seconds(), 10.0);
 }
 
 TEST(SlidingWindow, WindowContentSlides) {
-  SlidingWindowHhhDetector det({.window = Duration::seconds(5),
-                                .step = Duration::seconds(1),
-                                .phi = 0.5});
   // A heavy source only in [0, 1): present in windows ending at 5, gone at 6+.
-  det.offer(pkt(0.5, ip("10.0.0.1"), 1000));
-  for (int t = 1; t < 12; ++t) det.offer(pkt(t + 0.5, ip("20.0.0.1"), 100));
-  det.finish(TimePoint::from_seconds(12.0));
+  std::vector<PacketRecord> packets = {pkt(0.5, ip("10.0.0.1"), 1000)};
+  for (int t = 1; t < 12; ++t) packets.push_back(pkt(t + 0.5, ip("20.0.0.1"), 100));
+  const auto reports = sliding_reports(
+      packets, {.window = Duration::seconds(5), .step = Duration::seconds(1)}, 0.5,
+      TimePoint::from_seconds(12.0));
 
-  const auto& first = det.reports()[0];  // (0, 5]
+  const auto& first = reports[0];  // [0, 5)
   EXPECT_EQ(first.hhhs.total_bytes, 1400u);
   const auto p_first = first.hhhs.prefixes();
   EXPECT_TRUE(std::binary_search(p_first.begin(), p_first.end(), pfx("10.0.0.1/32")));
 
-  const auto& second = det.reports()[1];  // (1, 6]
+  const auto& second = reports[1];  // [1, 6)
   EXPECT_EQ(second.hhhs.total_bytes, 500u);
   const auto p_second = second.hhhs.prefixes();
   EXPECT_FALSE(std::binary_search(p_second.begin(), p_second.end(), pfx("10.0.0.1/32")))
@@ -152,22 +166,70 @@ TEST(SlidingWindow, WindowContentSlides) {
 }
 
 TEST(SlidingWindow, PartialWindowsReportedWhenConfigured) {
-  SlidingWindowHhhDetector det({.window = Duration::seconds(5),
-                                .step = Duration::seconds(1),
-                                .phi = 0.1,
-                                .full_windows_only = false});
-  for (int t = 0; t < 3; ++t) det.offer(pkt(t + 0.5, ip("10.0.0.1"), 100));
-  det.finish(TimePoint::from_seconds(3.0));
-  EXPECT_EQ(det.reports().size(), 3u);
+  std::vector<PacketRecord> packets;
+  for (int t = 0; t < 3; ++t) packets.push_back(pkt(t + 0.5, ip("10.0.0.1"), 100));
+  const auto reports = sliding_reports(
+      packets, {.window = Duration::seconds(5), .step = Duration::seconds(1)}, 0.1,
+      TimePoint::from_seconds(3.0), /*full_windows_only=*/false);
+  ASSERT_EQ(reports.size(), 3u);
+  EXPECT_EQ(reports[2].hhhs.total_bytes, 300u);
 }
 
-// Brute-force cross-check: on random streams the sliding detector's every
-// report must equal exact HHH extraction over the packets in its window.
-class SlidingVsBruteForce : public ::testing::TestWithParam<int> {};
+TEST(SlidingWindow, InsideAStepTheOpenStepReplacesTheOldest) {
+  // W = 2 s, step 1 s: at t = 2.5 the window is [1, 3) — step 1 plus the
+  // half of step 2 counted so far; step 0 has left.
+  ExactSlidingSummary summary({.window = Duration::seconds(2), .step = Duration::seconds(1)});
+  const std::vector<PacketRecord> packets = {pkt(0.5, ip("10.0.0.1"), 100),
+                                             pkt(1.5, ip("10.0.0.2"), 20),
+                                             pkt(2.2, ip("10.0.0.3"), 3)};
+  summary.add_batch(packets);
+  EXPECT_EQ(summary.watermark(), TimePoint::from_seconds(2.0));
+  EXPECT_DOUBLE_EQ(summary.total(TimePoint::from_seconds(2.5)), 23.0);
+  EXPECT_DOUBLE_EQ(summary.total(TimePoint::from_seconds(2.0)), 120.0);
+  // A query on the boundary closes the step ending there.
+  EXPECT_DOUBLE_EQ(summary.total(TimePoint::from_seconds(3.0)), 23.0);
+  EXPECT_EQ(summary.watermark(), TimePoint::from_seconds(3.0));
+  EXPECT_EQ(summary.counters(TimePoint::from_seconds(3.0)).count(pfx("10.0.0.1/32")), 0u);
+}
+
+TEST(SlidingWindow, OneInstanceAnswersAtEveryPhi) {
+  // The summary takes phi per query: one instance, several thresholds,
+  // each equal to a fresh exact extraction over the window's packets.
+  Rng rng(31);
+  std::vector<PacketRecord> packets;
+  for (double t = rng.exponential(400.0); t < 9.0; t += rng.exponential(400.0)) {
+    const Ipv4Address src(static_cast<std::uint32_t>(rng.below(12)) << 24 |
+                          static_cast<std::uint32_t>(rng.below(6)) << 8 |
+                          static_cast<std::uint32_t>(rng.below(6)));
+    packets.push_back(pkt(t, src, 40 + static_cast<std::uint32_t>(rng.below(1400))));
+  }
+  ExactSlidingSummary summary({.window = Duration::seconds(4), .step = Duration::seconds(1)});
+  summary.add_batch(packets);
+  // Step 8 is still open: the newest complete window is [4, 8).
+  const TimePoint at = TimePoint::from_seconds(8.0);
+  ASSERT_EQ(summary.watermark(), at);
+  std::vector<PacketRecord> in_window;
+  for (const auto& p : packets) {
+    if (p.ts >= TimePoint::from_seconds(4.0) && p.ts < at) in_window.push_back(p);
+  }
+  for (const double phi : {0.01, 0.05, 0.1, 0.3, 1.0}) {
+    const auto got = summary.report(at, phi);
+    const auto expected = exact_hhh_of(in_window, Hierarchy::byte_granularity(), phi);
+    EXPECT_EQ(got.total_bytes, expected.total_bytes) << "phi " << phi;
+    EXPECT_EQ(got.threshold_bytes, expected.threshold_bytes) << "phi " << phi;
+    EXPECT_EQ(got.items(), expected.items()) << "phi " << phi;
+  }
+}
+
+// Brute-force cross-check: on random streams every sliding report must
+// equal exact HHH extraction over the packets in its window, for both
+// address families.
+class SlidingVsBruteForce : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(SlidingVsBruteForce, ReportsMatchExactWindows) {
-  Rng rng(static_cast<std::uint64_t>(GetParam()));
-  const auto hierarchy = Hierarchy::byte_granularity();
+  const auto [seed, v6] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed));
+  const auto hierarchy = v6 ? Hierarchy::v6_byte_granularity() : Hierarchy::byte_granularity();
   const Duration window = Duration::seconds(4);
   const Duration step = Duration::seconds(1);
   const double phi = 0.1;
@@ -176,19 +238,19 @@ TEST_P(SlidingVsBruteForce, ReportsMatchExactWindows) {
   double t = 0.0;
   while (t < 30.0) {
     t += rng.exponential(120.0);
-    const Ipv4Address src(static_cast<std::uint32_t>(rng.below(30)) << 24 |
-                          static_cast<std::uint32_t>(rng.below(4)) << 16 |
-                          static_cast<std::uint32_t>(rng.below(4)) << 8 |
-                          static_cast<std::uint32_t>(rng.below(8)));
-    packets.push_back(pkt(t, src, 1 + static_cast<std::uint32_t>(rng.below(1500))));
+    const std::uint64_t hi = rng.below(30) << 56 | rng.below(4) << 48 | rng.below(4) << 40;
+    const std::uint32_t v4 = static_cast<std::uint32_t>(hi >> 32) |
+                             static_cast<std::uint32_t>(rng.below(8));
+    PacketRecord p = pkt(t, Ipv4Address(v4), 1 + static_cast<std::uint32_t>(rng.below(1500)));
+    if (v6) p.set_src(IpAddress::v6(hi, v4));
+    packets.push_back(p);
   }
 
-  SlidingWindowHhhDetector det(
-      {.window = window, .step = step, .phi = phi, .hierarchy = hierarchy});
-  for (const auto& p : packets) det.offer(p);
-  det.finish(TimePoint::from_seconds(30.0));
-
-  for (const auto& report : det.reports()) {
+  const auto reports = sliding_reports(
+      packets, {.window = window, .step = step, .hierarchy = hierarchy}, phi,
+      TimePoint::from_seconds(30.0));
+  ASSERT_EQ(reports.size(), 27u);
+  for (const auto& report : reports) {
     std::vector<PacketRecord> in_window;
     for (const auto& p : packets) {
       if (p.ts >= report.start && p.ts < report.end) in_window.push_back(p);
@@ -196,12 +258,13 @@ TEST_P(SlidingVsBruteForce, ReportsMatchExactWindows) {
     const auto expected = exact_hhh_of(in_window, hierarchy, phi);
     EXPECT_EQ(report.hhhs.total_bytes, expected.total_bytes)
         << "window ending " << report.end.to_seconds();
-    EXPECT_EQ(report.hhhs.prefixes(), expected.prefixes())
+    EXPECT_EQ(report.hhhs.items(), expected.items())
         << "window ending " << report.end.to_seconds();
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SlidingVsBruteForce, ::testing::Range(1, 6));
+INSTANTIATE_TEST_SUITE_P(Seeds, SlidingVsBruteForce,
+                         ::testing::Combine(::testing::Range(1, 6), ::testing::Bool()));
 
 // When the window is a multiple of the step and both tilings share the
 // origin, every disjoint window IS a sliding position: the disjoint union
@@ -218,17 +281,17 @@ TEST(WindowModels, DisjointIsSubsetOfSlidingPositions) {
     packets.push_back(pkt(t, src, 64 + static_cast<std::uint32_t>(rng.below(1400))));
   }
   const Duration W = Duration::seconds(5);
-  SlidingWindowHhhDetector sliding(
-      {.window = W, .step = Duration::seconds(1), .phi = 0.05});
-  for (const auto& p : packets) sliding.offer(p);
-  sliding.finish(TimePoint::from_seconds(40.0));
+  const TimePoint end = TimePoint::from_seconds(40.0);
 
   PrefixUnion disjoint_union;
-  for (const auto& r : disjoint_reports(packets, W, 0.05, TimePoint::from_seconds(40.0))) {
+  for (const auto& r : disjoint_reports(packets, W, 0.05, end)) {
     disjoint_union.add(r.hhhs.prefixes());
   }
   PrefixUnion sliding_union;
-  for (const auto& r : sliding.reports()) sliding_union.add(r.hhhs.prefixes());
+  for (const auto& r :
+       sliding_reports(packets, {.window = W, .step = Duration::seconds(1)}, 0.05, end)) {
+    sliding_union.add(r.hhhs.prefixes());
+  }
 
   const auto missing = prefix_difference(disjoint_union.values(), sliding_union.values());
   EXPECT_TRUE(missing.empty())

@@ -94,6 +94,24 @@ std::vector<WindowReport> disjoint_pipeline_reports(std::span<const PacketRecord
   return collect.reports();
 }
 
+std::vector<WindowReport> sliding_pipeline_reports(std::span<const PacketRecord> packets,
+                                                   const ExactSlidingParams& params, double phi,
+                                                   TimePoint end, std::size_t batch_size,
+                                                   bool full_windows_only) {
+  pipeline::PipelineConfig config;
+  config.phi = phi;
+  config.batch_size = batch_size;
+  config.finish_at = end;
+  config.metrics = false;
+  pipeline::Pipeline pipe(
+      pipeline::make_span_source(packets),
+      pipeline::make_engine_stage(make_exact_sliding_summary(params)),
+      pipeline::make_sliding_policy(params.window, params.step, full_windows_only), config);
+  auto& collect = pipe.add_sink(std::make_unique<pipeline::CollectSink>());
+  pipe.run();
+  return collect.reports();
+}
+
 void run_pipeline_equivalence_case(const EngineCase& engine_case) {
   for (const std::uint64_t seed : {11u, 23u}) {
     const auto packets = workload(engine_case, seed, 20000);

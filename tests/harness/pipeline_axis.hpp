@@ -13,8 +13,8 @@
 // against an independent oracle; randomized engines stay byte-identical
 // because both sides make the same add_batch calls.
 //
-// disjoint_pipeline_reports() is also how the window-model tests run the
-// Fig. 1a model.
+// disjoint_pipeline_reports() and sliding_pipeline_reports() are also how
+// the window-model tests run the Fig. 1a and Fig. 1b models.
 #pragma once
 
 #include <cstddef>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/hhh_types.hpp"
+#include "core/sliding_window.hpp"
 #include "harness/engine_registry.hpp"
 #include "net/packet.hpp"
 #include "util/sim_time.hpp"
@@ -39,6 +40,15 @@ std::vector<WindowReport> disjoint_pipeline_reports(std::span<const PacketRecord
                                                     TimePoint end,
                                                     std::unique_ptr<HhhEngine> engine = nullptr,
                                                     std::size_t batch_size = 4096);
+
+/// The Fig. 1b model through the pipeline runtime: the exact sliding
+/// summary over `params` behind the sliding policy of the same window and
+/// step, reading `packets` `batch_size` at a time, closing every step that
+/// ends by `end`. Returns every report in order.
+std::vector<WindowReport> sliding_pipeline_reports(std::span<const PacketRecord> packets,
+                                                   const ExactSlidingParams& params, double phi,
+                                                   TimePoint end, std::size_t batch_size = 4096,
+                                                   bool full_windows_only = true);
 
 /// Run the pipeline-vs-reference equivalence sweep for one registry
 /// engine: identical streams, identical chunking, byte-identical reports

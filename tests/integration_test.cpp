@@ -8,7 +8,6 @@
 
 #include "analysis/hidden_analysis.hpp"
 #include "analysis/metrics.hpp"
-#include "core/sliding_window.hpp"
 #include "core/tdbf_hhh.hpp"
 #include "harness/pipeline_axis.hpp"
 #include "net/pcap.hpp"
@@ -150,11 +149,9 @@ TEST(Integration, DdosEpisodeDetectedBySlidingBeforeDisjoint) {
   cfg.episodes.push_back(ep);
   const auto packets = SyntheticTraceGenerator(cfg).generate_all();
 
-  SlidingWindowHhhDetector sliding({.window = Duration::seconds(10),
-                                    .step = Duration::seconds(1),
-                                    .phi = 0.05});
-  for (const auto& p : packets) sliding.offer(p);
-  sliding.finish(TimePoint::from_seconds(60.0));
+  const auto sliding = harness::sliding_pipeline_reports(
+      packets, {.window = Duration::seconds(10), .step = Duration::seconds(1)}, 0.05,
+      TimePoint::from_seconds(60.0));
   const auto disjoint = harness::disjoint_pipeline_reports(
       packets, Duration::seconds(10), 0.05, TimePoint::from_seconds(60.0));
 
@@ -169,7 +166,7 @@ TEST(Integration, DdosEpisodeDetectedBySlidingBeforeDisjoint) {
     }
     return TimePoint::from_seconds(1e9);
   };
-  const TimePoint t_sliding = first_detection(sliding.reports());
+  const TimePoint t_sliding = first_detection(sliding);
   const TimePoint t_disjoint = first_detection(disjoint);
   ASSERT_LT(t_sliding.to_seconds(), 1e8) << "sliding never saw the attack";
   EXPECT_LE(t_sliding, t_disjoint) << "sliding detection must not be later";

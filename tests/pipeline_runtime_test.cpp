@@ -426,33 +426,52 @@ TEST(PipelineStagesTest, MementoStageMatchesDirectDetectorQueries) {
   }
 }
 
-TEST(PipelineStagesTest, SlidingExactStageMatchesDetectorReports) {
+TEST(PipelineStagesTest, ExactSlidingStageMatchesDirectQueries) {
+  // The exact sliding summary behind make_engine_stage + the sliding
+  // policy reports what a twin summary, fed the same packets by hand and
+  // queried at the same step ends, answers — at the pipeline's phi and in
+  // absolute-threshold mode, which derives a phi per report.
   const auto packets = harness::TraceBuilder(6).compact_space().packets(10000);
   const TimePoint end = packets.back().ts + Duration::millis(100);
-  SlidingWindowHhhDetector::Params params;
-  params.window = Duration::millis(100);
-  params.step = Duration::millis(20);
-  params.phi = 0.05;
+  const ExactSlidingParams params{.window = Duration::millis(100),
+                                  .step = Duration::millis(20)};
 
-  PipelineConfig config;
-  config.phi = params.phi;
-  config.finish_at = end;
-  Pipeline pipe(make_span_source(packets), make_sliding_exact_stage(params),
-                make_sliding_policy(params.window, params.step), config);
-  auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
-  pipe.run();
+  for (const double threshold_bytes : {0.0, 40000.0}) {
+    PipelineConfig config;
+    config.phi = 0.05;
+    config.threshold_bytes = threshold_bytes;
+    config.finish_at = end;
+    config.batch_size = 512;
+    Pipeline pipe(make_span_source(packets),
+                  make_engine_stage(std::make_unique<ExactSlidingSummary>(params)),
+                  make_sliding_policy(params.window, params.step), config);
+    EXPECT_EQ(pipe.stage().name(), "exact_sliding");
+    auto& collect = pipe.add_sink(std::make_unique<CollectSink>());
+    pipe.run();
+    const auto& reports = collect.reports();
+    ASSERT_GE(reports.size(), 3u);
 
-  SlidingWindowHhhDetector direct(params);
-  for (const auto& p : packets) direct.offer(p);
-  direct.finish(end);
-
-  ASSERT_EQ(collect.reports().size(), direct.reports().size());
-  for (std::size_t i = 0; i < direct.reports().size(); ++i) {
-    EXPECT_EQ(collect.reports()[i].index, direct.reports()[i].index);
-    EXPECT_EQ(collect.reports()[i].end, direct.reports()[i].end);
-    EXPECT_TRUE(
-        harness::hhh_sets_equal(direct.reports()[i].hhhs, collect.reports()[i].hhhs))
-        << "report " << i;
+    ExactSlidingSummary twin(params);
+    TimePoint last_ts;  // the stage's total_bytes() reads total() here
+    std::size_t next = 0;
+    const auto check_due = [&](TimePoint now) {
+      for (; next < reports.size() && reports[next].end <= now; ++next) {
+        const TimePoint at = reports[next].end;
+        EXPECT_EQ(reports[next].start, at - params.window);
+        const double total = twin.total(last_ts);
+        const double phi =
+            threshold_bytes > 0.0 ? std::min(1.0, threshold_bytes / std::max(total, 1.0)) : 0.05;
+        EXPECT_TRUE(harness::hhh_sets_equal(twin.report(at, phi), reports[next].hhhs))
+            << "report " << next << " threshold_bytes " << threshold_bytes;
+      }
+    };
+    for (const auto& p : packets) {
+      check_due(p.ts);
+      twin.add_batch(std::span<const PacketRecord>(&p, 1));
+      last_ts = p.ts;
+    }
+    check_due(end);
+    EXPECT_EQ(next, reports.size());
   }
 }
 

@@ -18,6 +18,7 @@
 #include "sketch/space_saving.hpp"
 #include "sketch/tdbf.hpp"
 #include "harness/golden.hpp"
+#include "harness/pipeline_axis.hpp"
 #include "harness/trace_builder.hpp"
 #include "trace/zipf.hpp"
 #include "util/random.hpp"
@@ -328,15 +329,17 @@ TEST(MixedFamilyTrace, FamilySplitEnginesPartitionTheStream) {
   for (const auto& item : v6_set.items()) EXPECT_FALSE(item.prefix.is_v4());
 }
 
-// --- Sliding detector equals brute force across (window, step) --------------
+// --- Exact sliding summary equals brute force across (window, step) ---------
 
 class SlidingGeometrySweep
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+    : public ::testing::TestWithParam<std::tuple<int, int, bool>> {};
 
 TEST_P(SlidingGeometrySweep, MatchesBruteForceWindows) {
-  const auto [window_s, step_divisor] = GetParam();
+  const auto [window_s, step_divisor, v6] = GetParam();
   const Duration window = Duration::seconds(window_s);
   const Duration step = window / step_divisor;
+  const Hierarchy hierarchy =
+      v6 ? Hierarchy::v6_byte_granularity() : Hierarchy::byte_granularity();
 
   Rng rng(0x511D);
   std::vector<PacketRecord> packets;
@@ -345,31 +348,35 @@ TEST_P(SlidingGeometrySweep, MatchesBruteForceWindows) {
     t += rng.exponential(80.0);
     PacketRecord p;
     p.ts = at(t);
-    p.set_src(Ipv4Address(static_cast<std::uint32_t>(rng.below(20)) << 24 |
-                          static_cast<std::uint32_t>(rng.below(16))));
+    const std::uint32_t top = static_cast<std::uint32_t>(rng.below(20));
+    const std::uint32_t low = static_cast<std::uint32_t>(rng.below(16));
+    if (v6) {
+      p.set_src(IpAddress::v6(std::uint64_t{0x2001} << 48 | std::uint64_t{top} << 32, low));
+    } else {
+      p.set_src(Ipv4Address(top << 24 | low));
+    }
     p.ip_len = 1 + static_cast<std::uint32_t>(rng.below(1500));
     packets.push_back(p);
   }
 
-  SlidingWindowHhhDetector det({.window = window, .step = step, .phi = 0.08});
-  for (const auto& p : packets) det.offer(p);
-  det.finish(at(25.0));
-
-  for (const auto& report : det.reports()) {
+  const auto reports = harness::sliding_pipeline_reports(
+      packets, {.window = window, .step = step, .hierarchy = hierarchy}, 0.08, at(25.0));
+  ASSERT_FALSE(reports.empty());
+  for (const auto& report : reports) {
     std::vector<PacketRecord> in_window;
     for (const auto& p : packets) {
       if (p.ts >= report.start && p.ts < report.end) in_window.push_back(p);
     }
-    const auto expected = exact_hhh_of(in_window, Hierarchy::byte_granularity(), 0.08);
+    const auto expected = exact_hhh_of(in_window, hierarchy, 0.08);
     EXPECT_EQ(report.hhhs.prefixes(), expected.prefixes())
-        << "W=" << window_s << "s step=W/" << step_divisor << " end "
+        << (v6 ? "v6" : "v4") << " W=" << window_s << "s step=W/" << step_divisor << " end "
         << report.end.to_seconds();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Geometry, SlidingGeometrySweep,
                          ::testing::Combine(::testing::Values(2, 4, 8),
-                                            ::testing::Values(1, 2, 4)));
+                                            ::testing::Values(1, 2, 4), ::testing::Bool()));
 
 }  // namespace
 }  // namespace hhh

@@ -67,7 +67,10 @@ CollectorService::CollectorService(CollectorOptions options)
   register_metrics();
 }
 
-CollectorService::~CollectorService() = default;
+CollectorService::~CollectorService() {
+  // The absorb in flight writes `cumulative_`: let it finish first.
+  if (absorbing_.valid()) absorbing_.wait();
+}
 
 void CollectorService::register_metrics() {
   ctr_.connections_accepted =
@@ -100,6 +103,12 @@ void CollectorService::register_metrics() {
   ctr_.epoch_close_latency_ns =
       &metrics_.histogram("hhh_collector_epoch_close_latency_ns", {},
                           "Arrival of an epoch's first frame to its close");
+  ctr_.absorb_ns = &metrics_.histogram(
+      "hhh_collector_absorb_ns", {},
+      "Absorb of a closed epoch into the cumulative ledger, wherever it runs");
+  ctr_.absorb_wait_ns = &metrics_.histogram(
+      "hhh_collector_absorb_wait_ns", {},
+      "Poll-loop time blocked on the background absorb before reading the ledger");
 }
 
 std::int64_t CollectorService::now_ns() const {
@@ -237,6 +246,7 @@ RunOutcome CollectorService::run() {
     if (stop_requested_.load(std::memory_order_relaxed)) {
       // Signal-driven shutdown: persist everything mid-epoch so a
       // restart converges; the fleet keeps running and will reconnect.
+      settle_absorb();
       write_checkpoint();
       write_out_stream();
       HHH_INFO << "collector: stop requested; checkpoint written";
@@ -319,6 +329,7 @@ RunOutcome CollectorService::run() {
           HHH_WARN << "collector: upstream " << name << " did not ack the bye";
         }
       }
+      settle_absorb();
       write_checkpoint();
       write_out_stream();
       HHH_INFO << "collector: fleet drained; idle exit";
@@ -487,6 +498,7 @@ void CollectorService::handle_epoch_frame(Conn& conn, const wire::FrameView& fra
       // counts in the cumulative network-wide state.
       ++conn.frames;
       mark_incorporated(conn.name, index);
+      settle_absorb();
       try {
         cumulative_.fold(decode_scope(epoch.inner_frame, conn.name));
         HHH_INFO << "collector: late frame from " << conn.name << " for epoch " << index
@@ -550,7 +562,23 @@ void CollectorService::close_epoch(ReadyEpoch&& epoch) {
   // without one is wasted work (checkpoint and --out save their own).
   std::vector<std::vector<std::uint8_t>> group_frames;
   if (options_.publish) group_frames = ledger.save_group_frames();
-  cumulative_.absorb(std::move(ledger));
+
+  // Hand the epoch's ledger to the cumulative one after the previous
+  // absorb, so epochs absorb in close order. A close that writes the
+  // checkpoint or --out reads the cumulative ledger below: its absorb is
+  // deferred to that read, on this thread. Otherwise it runs on its own
+  // thread while this one publishes, calls back and folds the next epoch.
+  settle_absorb();
+  const bool read_here = !options_.checkpoint_path.empty() || !options_.out_path.empty();
+  absorbing_ = std::async(
+      read_here ? std::launch::deferred : std::launch::async,
+      [this, index = epoch.index, ledger = std::move(ledger)]() mutable {
+        const std::int64_t begin = now_ns();
+        std::vector<std::string> refused = cumulative_.absorb(std::move(ledger));
+        ctr_.absorb_ns->observe(static_cast<std::uint64_t>(now_ns() - begin));
+        for (std::string& why : refused) why = "epoch " + std::to_string(index) + ": " + why;
+        return refused;
+      });
 
   ctr_.epochs_closed->inc();
   if (epoch.grace_expired && !epoch.missing.empty()) ctr_.epochs_incomplete->inc();
@@ -573,6 +601,34 @@ void CollectorService::close_epoch(ReadyEpoch&& epoch) {
   publish_epoch(epoch, group_frames, report);
   last_activity_ns_ = now_ns();
   if (on_epoch_) on_epoch_(epoch, report);
+}
+
+void CollectorService::settle_absorb() {
+  if (!absorbing_.valid()) return;
+  const bool in_background =
+      absorbing_.wait_for(std::chrono::seconds(0)) != std::future_status::deferred;
+  const std::int64_t begin = now_ns();
+  const std::vector<std::string> refused = absorbing_.get();
+  if (in_background) {
+    ctr_.absorb_wait_ns->observe(static_cast<std::uint64_t>(now_ns() - begin));
+  }
+  for (const std::string& why : refused) {
+    // Within an epoch, fold() refuses such a frame; across epochs the
+    // same name can carry other parameters. The epoch's own report and
+    // publish stand; only the all-time ledger leaves the group out.
+    HHH_WARN << "collector: cumulative ledger refused " << why;
+    ctr_.protocol_errors->inc();
+  }
+}
+
+LedgerReport CollectorService::cumulative_report() {
+  settle_absorb();
+  return cumulative_.report();
+}
+
+const MergeLedger& CollectorService::cumulative_ledger() {
+  settle_absorb();
+  return cumulative_;
 }
 
 void CollectorService::update_backpressure() {
@@ -628,6 +684,7 @@ void CollectorService::publish_epoch(
 
 void CollectorService::write_checkpoint() {
   if (options_.checkpoint_path.empty()) return;
+  settle_absorb();
   std::vector<std::uint8_t> payload;
   wire::Writer w(payload);
   w.u16(kCheckpointVersion);
@@ -702,6 +759,7 @@ void CollectorService::load_checkpoint() {
 
 void CollectorService::write_out_stream() {
   if (options_.out_path.empty()) return;
+  settle_absorb();
   std::vector<std::uint8_t> bytes;
   for (const auto& frame : cumulative_.save_group_frames()) {
     bytes.insert(bytes.end(), frame.begin(), frame.end());

@@ -7,7 +7,16 @@
 /// re-publishes its own merged epoch stream upstream — collectors
 /// compose into aggregation trees.
 ///
-/// Structure: one poll(2) loop, one thread. Each connection carries an
+/// Structure: one poll(2) loop on one thread, plus at most one
+/// background absorb of a closed epoch into the cumulative ledger. The
+/// reveal does not wait for that all-time bookkeeping: close_epoch folds
+/// and reports the epoch, starts its absorb and goes straight on to
+/// publish and the epoch callback. Every reader of the cumulative ledger
+/// (the next close, a late fold, cumulative_report(), the exits of run(),
+/// the destructor) first settles the absorb in flight, so epochs absorb
+/// one at a time in close order. A close that itself reads the ledger
+/// (a checkpoint or `--out` is configured) runs its absorb on the loop
+/// thread at that read, as a deferred task. Each connection carries an
 /// incremental SnapshotFrameReader, so frames are decoded correctly
 /// across arbitrary TCP chunk boundaries. Per-connection backpressure is
 /// the slowest-reader policy: a vantage whose buffered epoch count
@@ -30,6 +39,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -140,12 +150,22 @@ class CollectorService {
   /// True when start() restored state from an existing checkpoint.
   bool restored_from_checkpoint() const noexcept { return restored_; }
 
-  /// The cumulative merged report. Call after run() returned (or from
-  /// the epoch callback's thread); not synchronized with a running loop.
-  LedgerReport cumulative_report() { return cumulative_.report(); }
+  /// The cumulative merged report, through the last closed epoch: waits
+  /// for the absorb in flight first. Call after run() returned or from
+  /// the epoch callback (the loop thread); not synchronized with a
+  /// running loop from any other thread.
+  LedgerReport cumulative_report();
+
+  /// The cumulative ledger itself (what the checkpoint and `--out`
+  /// save), after the absorb in flight. Same calling rule as
+  /// cumulative_report().
+  const MergeLedger& cumulative_ledger();
 
   /// Invoked in the loop thread after each epoch close with the closed
-  /// epoch and that epoch's (pre-absorb) report. Set before start().
+  /// epoch and that epoch's report. It runs while that epoch's absorb
+  /// into the cumulative ledger may still be in flight on another thread;
+  /// cumulative_report() from inside it waits for that absorb. Set before
+  /// start().
   using EpochCallback = std::function<void(const ReadyEpoch&, const LedgerReport&)>;
   void set_epoch_callback(EpochCallback callback) { on_epoch_ = std::move(callback); }
 
@@ -196,6 +216,8 @@ class CollectorService {
     obs::Gauge* connected_vantages = nullptr;
     obs::Gauge* pending_epochs = nullptr;
     obs::Histogram* epoch_close_latency_ns = nullptr;
+    obs::Histogram* absorb_ns = nullptr;       ///< written by the absorb's thread too
+    obs::Histogram* absorb_wait_ns = nullptr;
   };
 
   std::int64_t now_ns() const;
@@ -210,6 +232,11 @@ class CollectorService {
   void handle_epoch_frame(Conn& conn, const wire::FrameView& frame);
   void close_conn(std::size_t i, ConnAction how);
   void close_epoch(ReadyEpoch&& epoch);
+  /// Wait for the absorb in flight (run it here when deferred), then
+  /// warn and count a protocol error per group the cumulative ledger
+  /// refused. Every reader of `cumulative_` on the loop thread calls this
+  /// first.
+  void settle_absorb();
   void update_backpressure();
   bool incorporated(const std::string& vantage, std::int64_t index) const;
   void mark_incorporated(const std::string& vantage, std::int64_t index);
@@ -223,6 +250,9 @@ class CollectorService {
   CollectorOptions options_;
   EpochAligner aligner_;
   MergeLedger cumulative_;
+  /// The one absorb into `cumulative_` in flight (invalid when none): it
+  /// yields one line per group refused.
+  std::future<std::vector<std::string>> absorbing_;
   std::map<std::string, EpochIdSet> incorporated_;
   std::map<std::string, std::unique_ptr<VantageClient>> publishers_;
 

@@ -1,6 +1,7 @@
 #include "service/merge.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "wire/codec.hpp"
@@ -43,14 +44,23 @@ HhhSet MergeLedger::fold(Scope scope) {
   return local;
 }
 
-void MergeLedger::absorb(MergeLedger&& other) {
+std::vector<std::string> MergeLedger::absorb(MergeLedger&& other) {
+  std::vector<std::string> refused;
   for (auto& incoming : other.groups_) {
-    merge_into_group(std::move(incoming));
+    const std::string key = incoming->name();
+    try {
+      merge_into_group(std::move(incoming));
+    } catch (const std::invalid_argument& e) {
+      // merge_from checks compatibility before it writes, so the
+      // cumulative group is untouched.
+      refused.push_back("group '" + key + "': " + e.what());
+    }
   }
   seen_locally_.add(other.seen_locally_.values());
   scopes_folded_ += other.scopes_folded_;
   other.groups_.clear();
   other.scopes_folded_ = 0;
+  return refused;
 }
 
 LedgerReport MergeLedger::report() {

@@ -91,8 +91,13 @@ class MergeLedger {
   /// Fold another ledger's merged groups into this one, WITHOUT treating
   /// them as local scopes (their extractions do not enter the
   /// locally-seen union; their folded scope counts and locally-seen sets
-  /// carry over). Throws std::invalid_argument on incompatible groups.
-  void absorb(MergeLedger&& other);
+  /// carry over). A group whose parameters differ from this ledger's
+  /// group of the same key (another hierarchy or configuration) is
+  /// refused: this ledger's group stays byte-identical, and the returned
+  /// list names the refused group and why (empty when all merged). The
+  /// other groups, the scope count and the locally-seen union still carry
+  /// over: those vantages did report those prefixes locally.
+  std::vector<std::string> absorb(MergeLedger&& other);
 
   /// Extract every group's merged set and compute the hidden HHHs.
   /// Non-const: sliding-window queries advance detector bookkeeping.

@@ -316,7 +316,8 @@ void BasicMementoSummary<D>::merge_from(const BasicMementoSummary& other) {
     slots_.push_back(Slot{acc.key, acc.count, 0, static_cast<std::uint32_t>(acc.ring.size()),
                           static_cast<std::uint32_t>(i)});
     heap_.push_back(static_cast<std::uint32_t>(i));
-    std::copy(acc.ring.begin(), acc.ring.end(), deltas_.begin() + static_cast<std::ptrdiff_t>(i * ring_cap_));
+    std::copy(acc.ring.begin(), acc.ring.end(),
+              deltas_.begin() + static_cast<std::ptrdiff_t>(i * ring_cap_));
     *index_.try_emplace(acc.key).first = static_cast<std::uint32_t>(i);
   }
   rebuild_heap();

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "core/hhh_types.hpp"
 #include "harness/trace_builder.hpp"
 #include "net/hierarchy.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/snapshot_stream.hpp"
 #include "service/collectord.hpp"
 #include "service/endpoint.hpp"
@@ -39,6 +41,7 @@
 #include "service/socket.hpp"
 #include "service/vantage_client.hpp"
 #include "wire/snapshot.hpp"
+#include "wire/wire.hpp"
 
 namespace hhh::service {
 namespace {
@@ -138,11 +141,12 @@ PrefixKey prefix(const std::string& text) {
   return *p;
 }
 
-/// One vantage's window snapshot: an exact engine that saw `packets`
-/// packets of 100 B from each listed source.
+/// One vantage's window snapshot: an exact engine over `hierarchy` that
+/// saw `packets` packets of 100 B from each listed source.
 std::vector<std::uint8_t> inner_frame(
-    const std::vector<std::pair<Ipv4Address, int>>& flows) {
-  auto engine = make_exact_engine(Hierarchy::byte_granularity());
+    const std::vector<std::pair<Ipv4Address, int>>& flows,
+    const Hierarchy& hierarchy = Hierarchy::byte_granularity()) {
+  auto engine = make_exact_engine(hierarchy);
   for (const auto& [src, packets] : flows) {
     for (int i = 0; i < packets; ++i) {
       engine->add(harness::packet_at(0.001 * i, src, 100));
@@ -517,6 +521,176 @@ TEST(CollectorService, MalformedLateFrameCountsAnErrorAndKeepsTheConnection) {
   ASSERT_TRUE(wait_until([&] { return runner.stats().clean_disconnects == 2; }));
   EXPECT_EQ(runner.stats().protocol_errors, 1u);
   EXPECT_EQ(runner.stats().dirty_disconnects, 0u);
+}
+
+/// One metric series' histogram from the service's scrape snapshot.
+obs::Histogram::Snapshot histogram_of(const CollectorService& svc, const std::string& name) {
+  for (const obs::MetricSample& sample : svc.metrics_snapshot().samples) {
+    if (sample.name == name) return sample.histogram;
+  }
+  ADD_FAILURE() << "no series " << name;
+  return {};
+}
+
+void expect_same_report(const LedgerReport& got, const LedgerReport& want) {
+  ASSERT_EQ(got.groups.size(), want.groups.size());
+  for (std::size_t g = 0; g < got.groups.size(); ++g) {
+    EXPECT_EQ(got.groups[g].key, want.groups[g].key);
+    EXPECT_EQ(got.groups[g].merged.total_bytes, want.groups[g].merged.total_bytes);
+    EXPECT_EQ(got.groups[g].merged.items(), want.groups[g].merged.items());
+  }
+  EXPECT_EQ(got.hidden, want.hidden);
+  EXPECT_EQ(got.scopes_folded, want.scopes_folded);
+}
+
+std::vector<std::uint8_t> saved_state(const MergeLedger& ledger) {
+  std::vector<std::uint8_t> bytes;
+  wire::Writer w(bytes);
+  ledger.save_state(w);
+  return bytes;
+}
+
+TEST(CollectorService, LaterEpochWithAnIncompatibleGroupLeavesTheDaemonRunning) {
+  UdsPath uds;
+  auto opt = base_options(uds.endpoint());
+  opt.expected_vantages = 1;
+  ServiceRunner runner(std::move(opt));
+
+  // Epoch 0 opens the cumulative "exact" group over the byte hierarchy;
+  // epoch 1 is a well-formed "exact" frame over the bit hierarchy.
+  Fd conn = connect_to(uds.endpoint());
+  send_raw(conn, hello_bytes("v"));
+  send_raw(conn, epoch_bytes(0, vantage_a_inner()));
+  ASSERT_TRUE(runner.wait_epochs(1));
+  const auto bit_inner =
+      inner_frame({{Ipv4Address::of(10, 0, 0, 1), 6}}, Hierarchy::bit_granularity());
+  send_raw(conn, epoch_bytes(1, bit_inner, /*seq=*/1));
+  ASSERT_TRUE(runner.wait_epochs(2));
+
+  // The epoch's own report stands, and the daemon still answers a bye.
+  const LedgerReport epoch1 = runner.epoch(1).second;
+  ASSERT_EQ(epoch1.groups.size(), 1u);
+  EXPECT_EQ(epoch1.groups[0].merged.total_bytes, 600u);
+  send_raw(conn, build_bye(Bye{.frames_sent = 2}));
+  ASSERT_TRUE(read_frame_of_kind(conn.get(), wire::SnapshotKind::kStreamBye));
+
+  runner.stop();
+  const CollectorStats stats = runner.stats();
+  EXPECT_EQ(stats.epochs_closed, 2u);
+  EXPECT_EQ(stats.protocol_errors, 1u);
+  const LedgerReport cumulative = runner.service().cumulative_report();
+  // Only the byte group, exactly as epoch 0 left it.
+  const GroupReport byte_group = runner.epoch(0).second.groups.at(0);
+  ASSERT_EQ(cumulative.groups.size(), 1u);
+  EXPECT_EQ(cumulative.groups[0].key, "exact");
+  EXPECT_EQ(cumulative.groups[0].merged.total_bytes, byte_group.merged.total_bytes);
+  EXPECT_EQ(cumulative.groups[0].merged.items(), byte_group.merged.items());
+}
+
+/// Sources 11.<epoch>.x.y, one 100 B packet each, plus the heavy
+/// 20.0.0.1: enough keys that an absorb takes a while.
+std::vector<std::uint8_t> wide_inner(int epoch) {
+  std::vector<std::pair<Ipv4Address, int>> flows = {{Ipv4Address::of(20, 0, 0, 1), 20}};
+  for (int i = 0; i < 3000; ++i) {
+    flows.emplace_back(Ipv4Address::of(11, static_cast<std::uint8_t>(epoch),
+                                       static_cast<std::uint8_t>(i / 256),
+                                       static_cast<std::uint8_t>(i % 256)),
+                       1);
+  }
+  return inner_frame(flows);
+}
+
+TEST(CollectorService, BackgroundAbsorbMatchesAnOfflineLedger) {
+  constexpr int kEpochs = 10;
+  constexpr int kLateAfter = 5;  // the late frame lands behind this epoch's absorb
+  constexpr std::int64_t kLateEpoch = 3;
+  UdsPath uds;
+  auto opt = base_options(uds.endpoint());
+  opt.expected_vantages = 1;  // each of v's frames closes its epoch
+  std::vector<std::vector<std::uint8_t>> inner;
+  for (int e = 0; e < kEpochs; ++e) inner.push_back(wide_inner(e));
+  const auto late_inner = vantage_b_inner();
+
+  CollectorService svc(opt);
+  Fd w;  // the straggler's socket, written from the callback
+  std::mutex mu;
+  std::vector<std::optional<LedgerReport>> in_callback(kEpochs);
+  int closed = 0;
+  bool late_sent = false;
+  svc.set_epoch_callback([&](const ReadyEpoch& epoch, const LedgerReport&) {
+    std::optional<LedgerReport> cumulative;
+    if (epoch.index == kLateAfter) {
+      // This epoch's absorb was just started: queue the straggler now,
+      // so the loop reads it while that absorb is (most likely) running.
+      const auto late = epoch_bytes(kLateEpoch, late_inner);
+      late_sent = write_all(w.get(), late.data(), late.size());
+    } else {
+      cumulative = svc.cumulative_report();
+    }
+    std::lock_guard<std::mutex> lock(mu);
+    in_callback.at(static_cast<std::size_t>(epoch.index)) = std::move(cumulative);
+    ++closed;
+  });
+  svc.start();
+  w = connect_to(uds.endpoint());  // before the loop thread reads it
+  Fd v = connect_to(uds.endpoint());
+  std::thread loop([&] { svc.run(); });
+  struct StopOnExit {  // a failed ASSERT must not leave the loop running
+    CollectorService& svc;
+    std::thread& loop;
+    ~StopOnExit() {
+      if (loop.joinable()) {
+        svc.stop();
+        loop.join();
+      }
+    }
+  } stop_on_exit{svc, loop};
+  const auto closed_count = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    return closed;
+  };
+
+  send_raw(w, hello_bytes("w"));
+  send_raw(v, hello_bytes("v"));
+  for (int e = 0; e < kEpochs; ++e) {
+    send_raw(v, epoch_bytes(e, inner[static_cast<std::size_t>(e)],
+                            static_cast<std::uint64_t>(e)));
+    ASSERT_TRUE(wait_until([&] { return closed_count() == e + 1; })) << "epoch " << e;
+    if (e == kLateAfter) {
+      ASSERT_TRUE(wait_until([&] { return svc.stats().late_folds == 1; }));
+    }
+  }
+  svc.stop();
+  loop.join();
+  EXPECT_TRUE(late_sent);
+  const CollectorStats stats = svc.stats();
+  EXPECT_EQ(stats.epochs_closed, static_cast<std::uint64_t>(kEpochs));
+  EXPECT_EQ(stats.late_folds, 1u);
+  EXPECT_EQ(stats.protocol_errors, 0u);
+  EXPECT_EQ(histogram_of(svc, "hhh_collector_absorb_ns").count,
+            static_cast<std::uint64_t>(kEpochs));
+  // Every absorb ran in the background and was settled on the loop.
+  EXPECT_EQ(histogram_of(svc, "hhh_collector_absorb_wait_ns").count,
+            static_cast<std::uint64_t>(kEpochs));
+
+  // The same epoch ledgers, absorbed in order, with the straggler folded
+  // where the daemon folded it.
+  MergeLedger offline(opt.thresholds);
+  for (int e = 0; e < kEpochs; ++e) {
+    SCOPED_TRACE(e);
+    MergeLedger epoch(opt.thresholds);
+    epoch.fold(decode_scope(wire::parse_frame(inner[static_cast<std::size_t>(e)]), "v"));
+    EXPECT_TRUE(offline.absorb(std::move(epoch)).empty());
+    if (e == kLateAfter) {
+      EXPECT_FALSE(in_callback[static_cast<std::size_t>(e)].has_value());
+      offline.fold(decode_scope(wire::parse_frame(late_inner), "w"));
+    } else {
+      ASSERT_TRUE(in_callback[static_cast<std::size_t>(e)].has_value());
+      expect_same_report(*in_callback[static_cast<std::size_t>(e)], offline.report());
+    }
+  }
+  expect_same_report(svc.cumulative_report(), offline.report());
+  EXPECT_EQ(saved_state(svc.cumulative_ledger()), saved_state(offline));
 }
 
 // ---------------------------------------------------------- backpressure

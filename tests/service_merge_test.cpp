@@ -313,6 +313,44 @@ TEST(MergeLedger, AbsorbMatchesDirectFoldingAndKeepsTheReveal) {
   EXPECT_EQ(absorbed_report.scopes_folded, 2u);
 }
 
+TEST(MergeLedger, AbsorbRefusesAnIncompatibleGroupAndLeavesItsGroupUnchanged) {
+  const auto epoch_of = [](std::unique_ptr<HhhEngine> engine, std::string label) {
+    MergeLedger epoch;
+    epoch.fold(engine_scope(std::move(engine), std::move(label)));
+    return epoch;
+  };
+  auto byte = v4_engine();
+  feed(*byte, Ipv4Address::of(10, 0, 0, 1), 100, 10);
+  MergeLedger cumulative;
+  EXPECT_TRUE(cumulative.absorb(epoch_of(std::move(byte), "byte")).empty());
+  const auto exact_before = cumulative.save_group_frames();
+
+  // A later epoch: the same group key ("exact") over another hierarchy,
+  // next to a v6 group that does merge.
+  auto bit = make_exact_engine(Hierarchy::bit_granularity());
+  feed(*bit, Ipv4Address::of(10, 0, 0, 1), 100, 10);
+  MergeLedger later = epoch_of(std::move(bit), "bit");
+  auto v6 = make_exact_engine(Hierarchy::v6_byte_granularity());
+  PacketRecord p;
+  p.ip_len = 100;
+  p.set_src(IpAddress::v6(0x2001'0db8'0000'0000ULL, 1));
+  v6->add(p);
+  later.fold(engine_scope(std::move(v6), "v6"));
+
+  const std::vector<std::string> refused = cumulative.absorb(std::move(later));
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_NE(refused[0].find("'exact'"), std::string::npos) << refused[0];
+  EXPECT_NE(refused[0].find("hierarchy mismatch"), std::string::npos) << refused[0];
+
+  const auto after = cumulative.save_group_frames();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0], exact_before[0]);  // the refused group's head, byte-identical
+  const LedgerReport report = cumulative.report();
+  EXPECT_EQ(report.groups[0].merged.total_bytes, 1000u);
+  EXPECT_EQ(report.groups[1].key, "exact_v6");
+  EXPECT_EQ(report.scopes_folded, 3u);  // documented: the count carries over whole
+}
+
 TEST(MergeLedger, SaveLoadRoundTripsGroupsAndTheLocallySeenUnion) {
   MergeLedger ledger(Thresholds{.threshold_bytes = 1000.0});
   {

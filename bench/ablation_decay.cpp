@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     PrefixUnion reported;
     TimePoint next_query = TimePoint() + window;
     for (const auto& p : packets) {
-      det.offer(p);
+      det.add(p);
       if (p.ts >= next_query) {
         reported.add(det.report(p.ts, phi).prefixes());
         next_query += step;

@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   TimeDecayingHhhDetector tdbf(TimeDecayingHhhDetector::for_window(window));
   TimePoint next_snapshot = TimePoint() + window;
   for (const auto& p : packets) {
-    tdbf.offer(p);
+    tdbf.add(p);
     if (p.ts >= next_snapshot) {
       tdbf_churn.add_report(tdbf.report(p.ts, phi).prefixes());
       next_snapshot += step;

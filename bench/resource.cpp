@@ -51,13 +51,13 @@ int main(int argc, char** argv) {
   }
   {
     RhhhEngine engine({.counters_per_level = 512});
-    for (const auto& p : packets) engine.add(p);
+    engine.add_batch(packets);
     mem.add_row({"rhhh (512/level)", human_bytes(engine.memory_bytes()),
                  "fixed: 5 space-saving instances"});
   }
   {
     AncestryHhhEngine engine({.eps = 0.005});
-    for (const auto& p : packets) engine.add(p);
+    engine.add_batch(packets);
     mem.add_row({"full-ancestry (eps=0.5%)", human_bytes(engine.memory_bytes()),
                  str_format("%zu trie entries", engine.entry_count())});
   }
@@ -69,12 +69,12 @@ int main(int argc, char** argv) {
   std::size_t memento_once = 0, memento_twice = 0;
   {
     MementoHhhDetector det({.window = Duration::seconds(10)});
-    for (const auto& p : packets) det.offer(p);
+    det.add_batch(packets);
     memento_once = det.memory_bytes();
     const Duration shift = (packets.back().ts - TimePoint()) + Duration::millis(1);
     for (PacketRecord p : packets) {
       p.ts += shift;
-      det.offer(p);
+      det.add(p);
     }
     memento_twice = det.memory_bytes();
     mem.add_row({"memento sliding HHH (W=10s)", human_bytes(memento_once),
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
                               .window = Duration::seconds(10)});
     // The v4 trace exercises construction only (v4 packets are ignored);
     // the arena is allocated up front, so idle state IS the footprint.
-    for (const auto& p : packets) det.offer(p);
+    det.add_batch(packets);
     mem.add_row({"memento_v6 sliding HHH", human_bytes(det.memory_bytes()),
                  "fixed arena: 17 levels x (512 slots + delta ring)"});
   }
@@ -100,7 +100,7 @@ int main(int argc, char** argv) {
   {
     auto params = TimeDecayingHhhDetector::for_window(Duration::seconds(10));
     TimeDecayingHhhDetector det(params);
-    for (const auto& p : packets) det.offer(p);
+    det.add_batch(packets);
     mem.add_row({"tdbf-hhh (windowless)", human_bytes(det.memory_bytes()),
                  "fixed: 5 decaying filters + candidates"});
   }

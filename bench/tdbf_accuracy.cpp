@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
       PrefixUnion u;
       TimePoint next_query = TimePoint() + window;
       for (const auto& p : packets) {
-        det.offer(p);
+        det.add(p);
         if (p.ts >= next_query) {
           u.add(det.report(p.ts, phi).prefixes());
           next_query += step;
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
       const Duration cadence = step / 4;
       TimePoint next_query = TimePoint() + window;
       for (const auto& p : packets) {
-        det.offer(p);
+        det.add(p);
         if (p.ts >= next_query) {
           u.add(det.report(p.ts, phi).prefixes());
           next_query += cadence;

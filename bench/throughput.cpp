@@ -2,12 +2,11 @@
 //
 // Two modes:
 //
-//  * default: the batched-ingestion throughput harness. Replays a
-//    pre-generated CAIDA-like stream into each HhhEngine twice — once
-//    through the per-packet add() loop, once through add_batch() chunks —
-//    and writes BENCH_throughput.json so successive PRs have a comparable
-//    perf trajectory. This is the acceptance gate for the add_batch()
-//    fast paths (RHHH amortized sampling, exact deferred propagation).
+//  * default: the ingestion throughput harness. Replays a pre-generated
+//    CAIDA-like stream into each HhhEngine through add_batch() chunks of
+//    --batch packets (--batch=1 is the per-packet cost) and writes
+//    BENCH_throughput.json so successive PRs have a comparable perf
+//    trajectory.
 //
 //  * --microbench: the google-benchmark microbench suite (per-packet
 //    update cost of every sketch/engine in the library, plus query
@@ -82,7 +81,6 @@ struct ThroughputOptions {
 
 struct EngineResult {
   std::string name;
-  double add_pps = 0.0;        ///< per-packet add() loop
   double add_batch_pps = 0.0;  ///< add_batch() in batch_size chunks
   std::size_t shards = 0;      ///< worker threads (0 = single-threaded engine)
 };
@@ -253,46 +251,11 @@ double best_pps(int repeats, std::size_t packets, MakeEngine&& make, Replay&& re
   return best;
 }
 
-/// Replays are timed to *completion*: a sharded engine returns from
-/// add/add_batch once batches are enqueued, so each replay ends with
-/// drain() — workers must have ingested every packet before the clock
-/// stops, otherwise we'd be measuring enqueue speed. `shards` is purely
-/// informational (0 = single-threaded engine).
-template <typename MakeEngine>
-EngineResult measure_engine(const std::string& name, MakeEngine&& make,
-                            const std::vector<PacketRecord>& packets,
-                            const ThroughputOptions& opt, std::size_t shards = 0) {
-  EngineResult result;
-  result.name = name;
-  result.shards = shards;
-  std::uint64_t guard = 0;  // defeats dead-code elimination across replays
-
-  const auto finish = [&](HhhEngine& engine) {
-    if (auto* sharded = dynamic_cast<ShardedHhhEngine*>(&engine)) sharded->drain();
-    guard ^= engine.total_bytes();
-  };
-  result.add_pps = best_pps(opt.repeats, packets.size(), make, [&](HhhEngine& engine) {
-    for (const auto& p : packets) engine.add(p);
-    finish(engine);
-  });
-
-  result.add_batch_pps = best_pps(opt.repeats, packets.size(), make, [&](HhhEngine& engine) {
-    const std::span<const PacketRecord> all(packets);
-    for (std::size_t i = 0; i < all.size(); i += opt.batch_size) {
-      engine.add_batch(all.subspan(i, std::min(opt.batch_size, all.size() - i)));
-    }
-    finish(engine);
-  });
-
-  std::printf("%-18s  add: %10.0f pps   add_batch: %10.0f pps   (x%.2f)%s\n",
-              result.name.c_str(), result.add_pps, result.add_batch_pps,
-              result.add_batch_pps / result.add_pps, guard ? "" : " ");
-  return result;
-}
-
-/// add_batch-only throughput (timed to completion, like measure_engine)
-/// for the scaling-matrix cells that are not already covered by a full
-/// engines row.
+/// add_batch throughput in batch_size chunks. Replays are timed to
+/// *completion*: a sharded engine returns from add_batch once batches are
+/// enqueued, so each replay ends with drain() — workers must have
+/// ingested every packet before the clock stops, otherwise we'd be
+/// measuring enqueue speed.
 template <typename MakeEngine>
 double batch_only_pps(MakeEngine&& make, const std::vector<PacketRecord>& packets,
                       const ThroughputOptions& opt) {
@@ -303,6 +266,17 @@ double batch_only_pps(MakeEngine&& make, const std::vector<PacketRecord>& packet
     }
     if (auto* sharded = dynamic_cast<ShardedHhhEngine*>(&engine)) sharded->drain();
   });
+}
+
+/// One engines row. `shards` is purely informational (0 = single-threaded
+/// engine).
+template <typename MakeEngine>
+EngineResult measure_engine(const std::string& name, MakeEngine&& make,
+                            const std::vector<PacketRecord>& packets,
+                            const ThroughputOptions& opt, std::size_t shards = 0) {
+  const EngineResult result{name, batch_only_pps(make, packets, opt), shards};
+  std::printf("%-18s  add_batch: %10.0f pps\n", result.name.c_str(), result.add_batch_pps);
+  return result;
 }
 
 /// Unpaced replay through the pipeline hhh-live runs (sharded exact
@@ -341,17 +315,14 @@ SaturationResult measure_live_saturation(const std::vector<PacketRecord>& packet
 
 // --- sliding-window section --------------------------------------------------
 
-/// One sliding-window summary row: packet rate of add_batch over
-/// one-packet spans and over batch_size chunks (the JSON keeps the
-/// `offer_pps`/`offer_batch_pps` keys), plus precision/recall of its
-/// report against the exact sliding summary's at the same instant —
-/// throughput numbers are only comparable when the summaries answer
-/// (roughly) the same question.
+/// One sliding-window summary row: packet rate of add_batch in
+/// batch_size chunks, plus precision/recall of its report against the
+/// exact sliding summary's at the same instant — throughput numbers are
+/// only comparable when the summaries answer (roughly) the same question.
 struct SlidingResult {
   std::string name;
   std::string family;  ///< "v4" | "v6"
-  double offer_pps = 0.0;
-  double offer_batch_pps = 0.0;
+  double add_batch_pps = 0.0;
   double precision = 1.0;
   double recall = 1.0;
 };
@@ -379,10 +350,7 @@ SlidingResult measure_sliding(const std::string& name, const std::string& family
   SlidingResult result;
   result.name = name;
   result.family = family;
-  result.offer_pps = best_pps(opt.repeats, packets.size(), make, [&](HhhSummary& det) {
-    for (const auto& p : packets) det.add_batch({&p, 1});
-  });
-  result.offer_batch_pps = best_pps(opt.repeats, packets.size(), make, [&](HhhSummary& det) {
+  result.add_batch_pps = best_pps(opt.repeats, packets.size(), make, [&](HhhSummary& det) {
     const std::span<const PacketRecord> all(packets);
     for (std::size_t i = 0; i < all.size(); i += opt.batch_size) {
       det.add_batch(all.subspan(i, std::min(opt.batch_size, all.size() - i)));
@@ -391,10 +359,9 @@ SlidingResult measure_sliding(const std::string& name, const std::string& family
   auto det = make();
   det->add_batch(packets);
   score_against(truth, det->report(at, phi), &result);
-  std::printf("%-14s %-3s  offer: %10.0f pps   offer_batch: %10.0f pps   "
-              "precision %.2f  recall %.2f\n",
-              result.name.c_str(), result.family.c_str(), result.offer_pps,
-              result.offer_batch_pps, result.precision, result.recall);
+  std::printf("%-14s %-3s  add_batch: %10.0f pps   precision %.2f  recall %.2f\n",
+              result.name.c_str(), result.family.c_str(), result.add_batch_pps,
+              result.precision, result.recall);
   return result;
 }
 
@@ -444,7 +411,7 @@ std::vector<SlidingResult> measure_sliding_section(const ThroughputOptions& opt,
 int run_throughput_harness(const ThroughputOptions& opt) {
   const auto& packets = stream();
   const unsigned hw_threads = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("== throughput: add() loop vs add_batch(%zu) over %zu packets "
+  std::printf("== throughput: add_batch(%zu) over %zu packets "
               "(%u hardware threads) ==\n",
               opt.batch_size, packets.size(), hw_threads);
 
@@ -561,7 +528,7 @@ int run_throughput_harness(const ThroughputOptions& opt) {
       measure_sliding_section(opt, sliding_window, sliding_phi);
   const auto sliding_pps = [&sliding](const std::string& name) {
     for (const auto& r : sliding) {
-      if (r.name == name) return r.offer_batch_pps;
+      if (r.name == name) return r.add_batch_pps;
     }
     return 0.0;
   };
@@ -569,7 +536,7 @@ int run_throughput_harness(const ThroughputOptions& opt) {
       sliding_pps("exact_sliding") > 0.0
           ? sliding_pps("memento") / sliding_pps("exact_sliding")
           : 0.0;
-  std::printf("memento vs exact_sliding: %.2fx offer_batch pps (gate: >= 3x)\n",
+  std::printf("memento vs exact_sliding: %.2fx add_batch pps (gate: >= 3x)\n",
               memento_vs_exact);
 
   // Wire round-trip trajectory: what serialize/deserialize costs per
@@ -641,10 +608,8 @@ int run_throughput_harness(const ThroughputOptions& opt) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& r = results[i];
     std::fprintf(out,
-                 "    {\"engine\": \"%s\", \"shards\": %zu, \"add_pps\": %.1f, "
-                 "\"add_batch_pps\": %.1f, \"batch_speedup\": %.4f}%s\n",
-                 r.name.c_str(), r.shards, r.add_pps, r.add_batch_pps,
-                 r.add_batch_pps / r.add_pps, i + 1 < results.size() ? "," : "");
+                 "    {\"engine\": \"%s\", \"shards\": %zu, \"add_batch_pps\": %.1f}%s\n",
+                 r.name.c_str(), r.shards, r.add_batch_pps, i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ],\n");
   std::fprintf(out, "  \"scaling\": {\n");
@@ -672,9 +637,9 @@ int run_throughput_harness(const ThroughputOptions& opt) {
   for (std::size_t i = 0; i < sliding.size(); ++i) {
     const auto& r = sliding[i];
     std::fprintf(out,
-                 "      {\"engine\": \"%s\", \"family\": \"%s\", \"offer_pps\": %.1f, "
-                 "\"offer_batch_pps\": %.1f, \"precision\": %.4f, \"recall\": %.4f}%s\n",
-                 r.name.c_str(), r.family.c_str(), r.offer_pps, r.offer_batch_pps,
+                 "      {\"engine\": \"%s\", \"family\": \"%s\", \"add_batch_pps\": %.1f, "
+                 "\"precision\": %.4f, \"recall\": %.4f}%s\n",
+                 r.name.c_str(), r.family.c_str(), r.add_batch_pps,
                  r.precision, r.recall, i + 1 < sliding.size() ? "," : "");
   }
   std::fprintf(out, "    ]\n");
@@ -814,7 +779,7 @@ void BM_TdbfHhhDetector(benchmark::State& state) {
   TimeDecayingHhhDetector det(TimeDecayingHhhDetector::for_window(Duration::seconds(10)));
   MonotoneReplay replay(packets);
   for (auto _ : state) {
-    det.offer(replay.next());
+    det.add(replay.next());
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -884,7 +849,7 @@ BENCHMARK(BM_ExactExtraction);
 void BM_TdbfHhhQuery(benchmark::State& state) {
   const auto& packets = stream();
   TimeDecayingHhhDetector det(TimeDecayingHhhDetector::for_window(Duration::seconds(10)));
-  for (const auto& p : packets) det.offer(p);
+  det.add_batch(packets);
   const TimePoint now = packets.back().ts;
   for (auto _ : state) {
     benchmark::DoNotOptimize(det.report(now, 0.01));

@@ -22,38 +22,10 @@ AncestryHhhEngine::AncestryHhhEngine(const Params& params) : params_(params) {
   next_compress_at_ = compress_stride_;
 }
 
-void AncestryHhhEngine::add(const PacketRecord& packet) {
-  if (packet.family() != AddressFamily::kIpv4) return;
-  total_bytes_ += packet.ip_len;
-
-  // Insert at the leaf level; undercount bound for new entries is eps*N.
-  const std::uint64_t key = V4Domain::key(packet.src(), params_.hierarchy.leaf_length());
-  auto [node, inserted] = levels_[0].try_emplace(key);
-  if (inserted) {
-    node->delta = static_cast<std::uint64_t>(params_.eps * static_cast<double>(total_bytes_));
-  }
-  node->f += packet.ip_len;
-
-  if (total_bytes_ >= next_compress_at_) {
-    compress();
-    // Amortized cadence: recompress after the stream grows by another
-    // eps*N (at least one bucket width). A fixed 1/eps-byte stride would
-    // run compress() on nearly every packet once N is large.
-    const auto growth = std::max<std::uint64_t>(
-        compress_stride_,
-        static_cast<std::uint64_t>(params_.eps * static_cast<double>(total_bytes_)));
-    next_compress_at_ = total_bytes_ + growth;
-  }
-}
-
 void AncestryHhhEngine::add_batch(std::span<const PacketRecord> packets) {
-  // Same per-packet sequence as add() — deltas are stamped at the same
-  // stream positions and compress() fires at the same bytes — so the trie
-  // state is byte-identical to the loop. The win is purely mechanical: no
-  // virtual dispatch per packet, the leaf map reference / leaf length /
-  // eps hoisted out of the loop, and the running total kept in a register
-  // (the member store per packet cannot be elided in add(): node writes
-  // may alias it as far as the compiler knows).
+  // The running total stays in a register: the member store per packet
+  // cannot be elided, as node writes may alias it as far as the compiler
+  // knows. compress() reads the member, so it is written back first.
   auto& leaf = levels_[0];
   const unsigned leaf_len = params_.hierarchy.leaf_length();
   const double eps = params_.eps;
@@ -66,13 +38,17 @@ void AncestryHhhEngine::add_batch(std::span<const PacketRecord> packets) {
     // key(p.src(), len), minus the IpAddress round trip).
     auto [node, inserted] =
         leaf.try_emplace(V4Domain::key_halves(p.src_hi(), p.src_lo(), leaf_len));
+    // Undercount bound for a new entry is eps*N.
     if (inserted) {
       node->delta = static_cast<std::uint64_t>(eps * static_cast<double>(total));
     }
     node->f += p.ip_len;
     if (total >= compress_at) {
-      total_bytes_ = total;  // compress() reads the member
+      total_bytes_ = total;
       compress();
+      // Amortized cadence: recompress after the stream grows by another
+      // eps*N (at least one bucket width). A fixed 1/eps-byte stride would
+      // run compress() on nearly every packet once N is large.
       const auto growth = std::max<std::uint64_t>(
           compress_stride_, static_cast<std::uint64_t>(eps * static_cast<double>(total)));
       compress_at = total + growth;

@@ -38,15 +38,13 @@ class AncestryHhhEngine final : public HhhEngine {
   /// not IPv4 (this baseline engine is v4-only; use exact_v6/rhhh_v6 for v6).
   explicit AncestryHhhEngine(const Params& params);
 
-  /// Leaf-level lossy-counting insert + amortized bottom-up compression.
-  void add(const PacketRecord& packet) override;
-  /// Identical per-packet sequence to the add() loop — same deltas, same
-  /// compression points, so extraction is byte-identical — but with the
-  /// leaf map, prefix length and compression test hoisted out of the
-  /// virtual-dispatch loop. Fixes the batch path previously measuring
-  /// *slower* than the per-packet loop (default add_batch pays one virtual
-  /// call per packet).
+  /// Leaf-level lossy-counting insert per packet + amortized bottom-up
+  /// compression. Deltas are stamped and compress() fires at stream
+  /// positions, so the trie does not depend on how the stream is cut
+  /// into batches.
   void add_batch(std::span<const PacketRecord> packets) override;
+  /// Always IPv4.
+  AddressFamily family() const override { return AddressFamily::kIpv4; }
   /// Bottom-up conditioned-count extraction over (f + eps*N) upper bounds.
   HhhSet extract(double phi) const override;
   /// Drop the trie and restart the compression cadence.

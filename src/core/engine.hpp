@@ -10,6 +10,10 @@
 /// Engines are reset at window boundaries by the driver — exactly the
 /// "reset the data structure at the end of each time window" practice the
 /// paper examines.
+///
+/// An engine ingests through HhhSummary::add_batch() only; the per-packet
+/// HhhSummary::add() is a batch of one, so no engine keeps a second
+/// ingestion path.
 #pragma once
 
 #include <cstdint>
@@ -49,22 +53,11 @@ namespace hhh {
 ///    HhhSummary's default, which throws std::logic_error.
 class HhhEngine : public HhhSummary {
  public:
-  /// Account one packet (source + IP bytes). Packets whose address
-  /// family differs from the engine's hierarchy are ignored — neither
-  /// counted in total_bytes() nor fed to the summaries — so a dual-stack
-  /// pipeline can fan one mixed stream to one engine per family (or
-  /// route packets itself, which is cheaper).
-  virtual void add(const PacketRecord& packet) = 0;
-
-  /// Account a batch of packets. Observationally equivalent to calling
-  /// add() once per record in order — total_bytes() and extract() must
-  /// agree with the loop (randomized engines may consume their RNG
-  /// differently, but the sampling distribution must match). Engines
-  /// override this when batching admits a cheaper implementation
-  /// (amortized sampling, deferred propagation, level-major passes).
-  void add_batch(std::span<const PacketRecord> packets) override {
-    for (const auto& p : packets) add(p);
-  }
+  /// The address family the engine counts. Packets of the other family
+  /// are ignored — neither counted in total_bytes() nor fed to the
+  /// summaries — so a dual-stack pipeline can fan one mixed stream to one
+  /// engine per family (or route packets itself, which is cheaper).
+  virtual AddressFamily family() const = 0;
 
   /// HHHs of the traffic added since the last reset, at relative
   /// threshold `phi` (T = ceil(phi * total)).

@@ -12,14 +12,7 @@ template <typename D>
 BasicExactEngine<D>::BasicExactEngine(const Hierarchy& hierarchy) : agg_(hierarchy) {}
 
 template <typename D>
-void BasicExactEngine<D>::add(const PacketRecord& packet) {
-  agg_.add(packet.src(), packet.ip_len);
-}
-
-template <typename D>
 void BasicExactEngine<D>::add_batch(std::span<const PacketRecord> packets) {
-  // Addition into the leaf counters commutes, so LevelAggregates' batched
-  // leaf pass yields byte-identical state to the add() loop.
   agg_.add_batch(packets);
 }
 

@@ -1,7 +1,7 @@
 /// \file
 /// ExactEngine — the ground-truth HhhEngine over LevelAggregates.
 ///
-/// add() pays O(1) per packet: one leaf counter, whatever the hierarchy's
+/// Ingest pays O(1) per packet: one leaf counter, whatever the hierarchy's
 /// depth. The extraction derives the upper levels once per report — the
 /// O(1) update direction RHHH takes, without RHHH's sampling error.
 ///
@@ -27,11 +27,12 @@ class BasicExactEngine final : public HhhEngine {
   /// hierarchy family must match the domain's.
   explicit BasicExactEngine(const Hierarchy& hierarchy);
 
-  /// O(1) per packet: one leaf counter increment.
-  void add(const PacketRecord& packet) override;
-  /// Pre-hashed leaf pass (LevelAggregates::add_batch) — byte-identical to
-  /// the add() loop.
+  /// Pre-hashed leaf pass (LevelAggregates::add_batch): one leaf counter
+  /// increment per packet. Addition commutes, so the state does not
+  /// depend on how the stream is cut into batches.
   void add_batch(std::span<const PacketRecord> packets) override;
+  /// The domain's family.
+  AddressFamily family() const override { return D::kFamily; }
   /// Exact conditioned-count HHH extraction over the leaf counters.
   HhhSet extract(double phi) const override;
   /// extract(phi) after LevelAggregates::freeze(): the window's report

@@ -78,7 +78,7 @@ class BasicLevelAggregates {
 
   /// Add `bytes` for source `src` at the leaf level. Packets of the other
   /// address family are ignored (not counted) — callers of a dual-stack
-  /// pipeline route per family; see HhhEngine::add. Zero bytes count
+  /// pipeline route per family; see HhhEngine::family. Zero bytes count
   /// nothing, so no counter is ever zero.
   void add(IpAddress src, std::uint64_t bytes) {
     if (src.family() != D::kFamily || bytes == 0) return;

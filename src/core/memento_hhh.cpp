@@ -85,38 +85,13 @@ void BasicMementoHhhDetector<D>::note_packet(TimePoint ts, double bytes) noexcep
 }
 
 template <typename D>
-void BasicMementoHhhDetector<D>::offer(const PacketRecord& packet) {
-  if (packet.family() != D::kFamily) return;
-  note_packet(packet.ts, packet.ip_len);
-  const std::size_t level = static_cast<std::size_t>(rng_.below(levels_.size()));
-  levels_[level].update(D::key(packet.src(), params_.hierarchy.length_at(level)),
-                        packet.ip_len, packet.ts);
-}
-
-template <typename D>
 void BasicMementoHhhDetector<D>::add_batch(std::span<const PacketRecord> run) {
-  // Amortized level draws, exactly as in RHHH's add_batch: one xoshiro
-  // output yields two 32-bit halves, each Lemire-reduced to [0, H) — two
-  // uniform draws per RNG step, no rejection loop. Per-packet choices stay
-  // independent and uniform, so report() statistics match the offer() loop.
-  const std::uint64_t num_levels = levels_.size();
   const unsigned* const lens = params_.hierarchy.lengths().data();
-  std::uint32_t spare = 0;
-  bool have_spare = false;
+  LevelDraws draws(rng_, levels_.size());
   for (const PacketRecord& p : run) {
     if (p.family() != D::kFamily) continue;  // skipped packets draw nothing
     note_packet(p.ts, p.ip_len);
-    std::uint64_t half;
-    if (have_spare) {
-      half = spare;
-      have_spare = false;
-    } else {
-      const std::uint64_t draw = rng_.next();
-      half = draw & 0xFFFF'FFFFULL;
-      spare = static_cast<std::uint32_t>(draw >> 32);
-      have_spare = true;
-    }
-    const std::size_t level = static_cast<std::size_t>((half * num_levels) >> 32);
+    const std::size_t level = draws.next();
     levels_[level].update(D::key_halves(p.src_hi(), p.src_lo(), lens[level]), p.ip_len,
                           p.ts);
   }

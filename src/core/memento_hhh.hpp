@@ -62,13 +62,9 @@ class BasicMementoHhhDetector final : public HhhSummary {
   /// std::invalid_argument otherwise.
   explicit BasicMementoHhhDetector(const Params& params);
 
-  /// Account one packet (sampling one hierarchy level); timestamps must
-  /// be non-decreasing. Packets of the other family are ignored.
-  void offer(const PacketRecord& packet);
-
-  /// Account a timestamp-ordered run of packets. Amortized level draws
-  /// (two Lemire-reduced draws per RNG step, as in RHHH's add_batch);
-  /// same level distribution and window totals as the offer() loop.
+  /// Account a timestamp-ordered run of packets, sampling one hierarchy
+  /// level per packet (LevelDraws, as in RHHH). Timestamps must be
+  /// non-decreasing. Packets of the other family are ignored.
   void add_batch(std::span<const PacketRecord> run) override;
 
   /// HHHs of the trailing window as of `now`, at relative threshold `phi`

@@ -45,23 +45,6 @@ BasicRhhhEngine<D>::BasicRhhhEngine(const Params& params)
 }
 
 template <typename D>
-void BasicRhhhEngine<D>::add(const PacketRecord& packet) {
-  if (packet.family() != D::kFamily) return;
-  total_bytes_ += packet.ip_len;
-  ++updates_;
-  if (params_.update_all_levels) {
-    for (std::size_t level = 0; level < levels_.size(); ++level) {
-      levels_[level].update(D::key(packet.src(), params_.hierarchy.length_at(level)),
-                            packet.ip_len);
-    }
-    return;
-  }
-  const std::size_t level = static_cast<std::size_t>(rng_.below(levels_.size()));
-  levels_[level].update(D::key(packet.src(), params_.hierarchy.length_at(level)),
-                        packet.ip_len);
-}
-
-template <typename D>
 void BasicRhhhEngine<D>::add_batch(std::span<const PacketRecord> packets) {
   if (params_.update_all_levels) {
     // HSS ablation: level-major order walks each Space-Saving instance
@@ -83,31 +66,14 @@ void BasicRhhhEngine<D>::add_batch(std::span<const PacketRecord> packets) {
     return;
   }
 
-  // Sampled mode: amortize the level draws. One 64-bit xoshiro output is
-  // split into two 32-bit halves, each mapped to [0, H) by multiply-shift
-  // (Lemire reduction) — two uniform draws per RNG step and no rejection
-  // loop, versus one rejection-sampled draw per packet in add(). The
-  // per-packet level choice stays independent and uniform (bias < 2^-27
-  // for H <= 33), so extract() statistics match the add() loop.
-  const std::uint64_t num_levels = levels_.size();
+  // Sampled mode: one uniform level per packet, two draws per RNG step.
   const unsigned* const lens = params_.hierarchy.lengths().data();
+  LevelDraws draws(rng_, levels_.size());
   std::uint64_t bytes = 0;
   std::uint64_t matched = 0;
-  std::uint32_t spare = 0;
-  bool have_spare = false;
   for (const PacketRecord& p : packets) {
     if (p.family() != D::kFamily) continue;  // skipped packets draw nothing
-    std::uint64_t half;
-    if (have_spare) {
-      half = spare;
-      have_spare = false;
-    } else {
-      const std::uint64_t draw = rng_.next();
-      half = draw & 0xFFFF'FFFFULL;
-      spare = static_cast<std::uint32_t>(draw >> 32);
-      have_spare = true;
-    }
-    const std::size_t level = static_cast<std::size_t>((half * num_levels) >> 32);
+    const std::size_t level = draws.next();
     levels_[level].update(D::key_halves(p.src_hi(), p.src_lo(), lens[level]), p.ip_len);
     bytes += p.ip_len;
     ++matched;

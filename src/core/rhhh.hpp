@@ -55,12 +55,12 @@ class BasicRhhhEngine final : public HhhEngine {
   /// std::invalid_argument otherwise.
   explicit BasicRhhhEngine(const Params& params);
 
-  /// O(1): sample one level uniformly, update its summary (RHHH); or O(H)
-  /// updating every level in HSS mode.
-  void add(const PacketRecord& packet) override;
-  /// Amortized sampling (RHHH) / level-major update order (HSS); same
-  /// distribution and totals as the add() loop.
+  /// O(1) per packet: sample one level uniformly (LevelDraws), update its
+  /// summary (RHHH); or O(H) updating every level in HSS mode, in
+  /// level-major order.
   void add_batch(std::span<const PacketRecord> packets) override;
+  /// The domain's family.
+  AddressFamily family() const override { return D::kFamily; }
   /// Bottom-up conditioned-count extraction over scaled estimates.
   HhhSet extract(double phi) const override;
   /// Clear every summary; the RNG sequence deliberately continues.

@@ -32,6 +32,7 @@ ShardedHhhEngine::ShardedHhhEngine(const Params& params, EngineFactory factory)
     shard->snap_engine = factory_(i);
     shards_.push_back(std::move(shard));
   }
+  family_ = shards_.front()->engine->family();
   // Per-shard telemetry, keyed by the composed engine name (available now
   // that every replica exists). Same-named engines across tests share the
   // series — registry registration is idempotent and counters stay
@@ -121,13 +122,23 @@ std::size_t ShardedHhhEngine::shard_of(const PacketRecord& p) const noexcept {
   return static_cast<std::size_t>(((mix64(key) >> 32) * shards_.size()) >> 32);
 }
 
-void ShardedHhhEngine::compute_shard_indices(
+std::optional<AddressFamily> ShardedHhhEngine::compute_shard_indices(
     std::span<const PacketRecord> packets) const {
   const std::size_t n = packets.size();
+  // The batch's family, or nullopt if it mixes families: it picks the
+  // kFlow hash chain below and tells add_batch which bytes count. Real
+  // streams are homogeneous or nearly so per batch.
+  std::optional<AddressFamily> family = packets[0].family();
+  for (const auto& p : packets) {
+    if (p.family() != *family) {
+      family.reset();
+      break;
+    }
+  }
   idx_scratch_.resize(n);
   if (shards_.size() == 1) {
     std::fill(idx_scratch_.begin(), idx_scratch_.end(), 0u);
-    return;
+    return family;
   }
   key_scratch_.resize(n);
   link_scratch_.resize(n);
@@ -140,32 +151,24 @@ void ShardedHhhEngine::compute_shard_indices(
       key_scratch_[i] = packets[i].src_hi() ^ link_scratch_[i];
     }
     simd::shard_range_batch(key_scratch_.data(), shards_.size(), idx_scratch_.data(), n);
-    return;
+    return family;
   }
 
   // kFlow: the FlowKey::key() chain, batched. The chain's shape depends on
   // the record family (v4 skips the two always-zero low halves), so only
   // family-homogeneous batches vectorize; mixed batches take the scalar
-  // reference path. Real streams are homogeneous or nearly so per batch.
-  bool homogeneous = true;
-  const AddressFamily family = packets[0].family();
-  for (const auto& p : packets) {
-    if (p.family() != family) {
-      homogeneous = false;
-      break;
-    }
-  }
-  if (!homogeneous) {
+  // reference path.
+  if (!family) {
     for (std::size_t i = 0; i < n; ++i) {
       idx_scratch_[i] = static_cast<std::uint32_t>(shard_of(packets[i]));
     }
-    return;
+    return family;
   }
   for (std::size_t i = 0; i < n; ++i) {
     key_scratch_[i] = packets[i].src_hi() + 0x9E3779B97F4A7C15ULL;
   }
   simd::mix64_batch(key_scratch_.data(), key_scratch_.data(), n);
-  if (family != AddressFamily::kIpv4) {
+  if (*family != AddressFamily::kIpv4) {
     for (std::size_t i = 0; i < n; ++i) link_scratch_[i] = packets[i].src_lo();
     simd::mix64_xor_batch(key_scratch_.data(), link_scratch_.data(), n);
     for (std::size_t i = 0; i < n; ++i) link_scratch_[i] = packets[i].dst_lo();
@@ -182,6 +185,7 @@ void ShardedHhhEngine::compute_shard_indices(
   }
   simd::mix64_xor_batch(key_scratch_.data(), link_scratch_.data(), n);
   simd::shard_range_batch(key_scratch_.data(), shards_.size(), idx_scratch_.data(), n);
+  return family;
 }
 
 void ShardedHhhEngine::publish(std::size_t shard) const {
@@ -202,16 +206,9 @@ void ShardedHhhEngine::flush_staging() const {
   for (std::size_t s = 0; s < stage_.size(); ++s) publish(s);
 }
 
-void ShardedHhhEngine::add(const PacketRecord& packet) {
-  total_bytes_ += packet.ip_len;
-  const std::size_t s = shard_of(packet);
-  stage_[s].push_back(packet);
-  if (stage_[s].size() >= params_.dispatch_batch) publish(s);
-}
-
 void ShardedHhhEngine::add_batch(std::span<const PacketRecord> packets) {
   if (packets.empty()) return;
-  compute_shard_indices(packets);
+  const std::optional<AddressFamily> batch_family = compute_shard_indices(packets);
   std::uint64_t bytes = 0;
   for (std::size_t i = 0; i < packets.size(); ++i) {
     const auto& p = packets[i];
@@ -219,6 +216,16 @@ void ShardedHhhEngine::add_batch(std::span<const PacketRecord> packets) {
     const std::size_t s = idx_scratch_[i];
     stage_[s].push_back(p);
     if (stage_[s].size() >= params_.dispatch_batch) publish(s);
+  }
+  // The replicas ignore packets of the other family, so the ledger must
+  // too; only a mixed batch needs a second look at each packet.
+  if (!batch_family) {
+    bytes = 0;
+    for (const auto& p : packets) {
+      if (p.family() == family_) bytes += p.ip_len;
+    }
+  } else if (*batch_family != family_) {
+    bytes = 0;
   }
   total_bytes_ += bytes;
 }

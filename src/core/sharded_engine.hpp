@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -84,16 +85,16 @@ class ShardedHhhEngine final : public HhhEngine {
   /// Joins the workers (any queued batches are drained first).
   ~ShardedHhhEngine() override;
 
-  /// Stage one packet on its shard's staging buffer; the buffer is
-  /// published to the shard ring at `dispatch_batch` packets (and at any
-  /// extract/reset/drain).
-  void add(const PacketRecord& packet) override;
-
   /// Partition the batch across the per-shard staging buffers (shard
-  /// selection is SIMD-batched) and publish every buffer that fills.
-  /// Returns as soon as the packets are staged/enqueued — workers ingest
-  /// concurrently; call drain() or extract() to synchronize.
+  /// selection is SIMD-batched) and publish every buffer that reaches
+  /// `dispatch_batch` packets (and every buffer at any
+  /// extract/reset/drain). Returns as soon as the packets are
+  /// staged/enqueued — workers ingest concurrently; call drain() or
+  /// extract() to synchronize.
   void add_batch(std::span<const PacketRecord> packets) override;
+
+  /// The replicas' family.
+  AddressFamily family() const override { return family_; }
 
   /// Quiesce-free extraction: flush staging, enqueue a snapshot marker per
   /// shard, merge the per-shard replica clones (published at ring-FIFO
@@ -114,8 +115,9 @@ class ShardedHhhEngine final : public HhhEngine {
   /// reset see the same stream split.
   void reset() override;
 
-  /// Exact byte total handed to add()/add_batch() since the last reset
-  /// (tracked on the front-end thread; workers never touch it).
+  /// Exact byte total of the replicas' family handed to add_batch() since
+  /// the last reset (tracked on the front-end thread; workers never touch
+  /// it).
   std::uint64_t total_bytes() const override { return total_bytes_; }
 
   /// Replica footprints plus ring buffers and staging. Synchronizing:
@@ -193,7 +195,9 @@ class ShardedHhhEngine final : public HhhEngine {
   // Fill idx_scratch_ with the shard of every packet. Family-homogeneous
   // batches run the FlowKey hash chain through the SIMD mix64 kernels;
   // mixed batches fall back to the scalar shard_of (identical output).
-  void compute_shard_indices(std::span<const PacketRecord> packets) const;
+  // Returns the batch's family, or nullopt for a mixed batch.
+  std::optional<AddressFamily> compute_shard_indices(
+      std::span<const PacketRecord> packets) const;
   // The dispatch path is const so extract()/memory_bytes() can flush
   // without const_cast: enqueueing staged work mutates no observable
   // accounting state (Shard internals are reached through pointers).
@@ -216,6 +220,7 @@ class ShardedHhhEngine final : public HhhEngine {
   mutable std::vector<std::uint64_t> link_scratch_;
   mutable std::vector<std::uint32_t> idx_scratch_;
   mutable std::uint64_t snapshot_seq_ = 0;  // last issued snapshot marker
+  AddressFamily family_ = AddressFamily::kIpv4;  // the replicas' family
   std::uint64_t total_bytes_ = 0;           // front-end byte ledger
   obs::Histogram* quiesce_ns_ = nullptr;    // hhh_sharded_quiesce_ns{engine}
   obs::Histogram* snapshot_ns_ = nullptr;   // hhh_sharded_snapshot_ns{engine}

@@ -12,6 +12,10 @@
 /// ledger and the frame ring hold this type and never branch on the
 /// family.
 ///
+/// Ingestion has one entry point, add_batch(). add() is a non-virtual
+/// batch of one for per-packet callers, so no summary keeps a second
+/// per-packet path that could drift from its batch path.
+///
 /// Time semantics: a disjoint-window engine ignores `now` (its scope is
 /// "everything since the last reset"); a sliding or decaying summary
 /// answers for the trailing window or decayed mass as of `now`.
@@ -38,6 +42,9 @@ class HhhSummary {
   /// Account a timestamp-ordered run of packets. Packets whose address
   /// family differs from the summary's hierarchy are ignored.
   virtual void add_batch(std::span<const PacketRecord> run) = 0;
+
+  /// Account one packet: add_batch() over a run of one.
+  void add(const PacketRecord& packet) { add_batch({&packet, 1}); }
 
   /// HHHs at relative threshold `phi` (T = phi x total(now)) as of
   /// `now`. Non-const: sliding summaries settle expiry on read.

@@ -47,25 +47,23 @@ void TimeDecayingHhhDetector::rescale(TimePoint now) {
   last_rescale_ = now;
 }
 
-void TimeDecayingHhhDetector::offer(const PacketRecord& packet) {
-  if (packet.family() != AddressFamily::kIpv4) return;
-  if (packet.ts - last_rescale_ >= rescale_interval_) rescale(packet.ts);
-
-  // Candidate counts are stored decayed-to-last_rescale_; an arrival at a
-  // later instant is worth more in those units.
-  const double up_factor =
-      std::exp2(static_cast<double>((packet.ts - last_rescale_).ns()) * inv_half_life_ns_);
-  const double weight = static_cast<double>(packet.ip_len);
-
-  for (std::size_t level = 0; level < filters_.size(); ++level) {
-    const std::uint64_t key = V4Domain::key(packet.src(), params_.hierarchy.length_at(level));
-    filters_[level].update(key, weight, packet.ts);
-    candidates_[level].update(key, weight * up_factor);
-  }
-}
-
 void TimeDecayingHhhDetector::add_batch(std::span<const PacketRecord> run) {
-  for (const PacketRecord& p : run) offer(p);
+  for (const PacketRecord& p : run) {
+    if (p.family() != AddressFamily::kIpv4) continue;
+    if (p.ts - last_rescale_ >= rescale_interval_) rescale(p.ts);
+
+    // Candidate counts are stored decayed-to-last_rescale_; an arrival at
+    // a later instant is worth more in those units.
+    const double up_factor =
+        std::exp2(static_cast<double>((p.ts - last_rescale_).ns()) * inv_half_life_ns_);
+    const double weight = static_cast<double>(p.ip_len);
+
+    for (std::size_t level = 0; level < filters_.size(); ++level) {
+      const std::uint64_t key = V4Domain::key(p.src(), params_.hierarchy.length_at(level));
+      filters_[level].update(key, weight, p.ts);
+      candidates_[level].update(key, weight * up_factor);
+    }
+  }
 }
 
 double TimeDecayingHhhDetector::total(TimePoint now) {

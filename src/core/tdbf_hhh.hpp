@@ -63,10 +63,7 @@ class TimeDecayingHhhDetector final : public HhhSummary {
   /// Convenience: parameters whose decayed mass matches a window of `w`.
   static Params for_window(Duration w);
 
-  /// Account a packet; timestamps must be non-decreasing.
-  void offer(const PacketRecord& packet);
-
-  /// The offer() loop over a timestamp-ordered run.
+  /// Account a run of packets; timestamps must be non-decreasing.
   void add_batch(std::span<const PacketRecord> run) override;
 
   /// Continuous-time HHH query at `now` with relative threshold `phi`
@@ -98,7 +95,7 @@ class TimeDecayingHhhDetector final : public HhhSummary {
   void load_state(wire::Reader& r) override;
 
  private:
-  /// Decay all Space-Saving counts to `now` (amortized; called on offer).
+  /// Decay all Space-Saving counts to `now` (amortized; called on ingest).
   void rescale(TimePoint now);
 
   Params params_;

@@ -31,21 +31,9 @@ void UnivmonHhhEngine::rebuild() {
   }
 }
 
-void UnivmonHhhEngine::add(const PacketRecord& packet) {
-  if (packet.family() != AddressFamily::kIpv4) return;
-  total_bytes_ += packet.ip_len;
-  for (std::size_t level = 0; level < sketches_.size(); ++level) {
-    sketches_[level].update(V4Domain::key(packet.src(), params_.hierarchy.length_at(level)),
-                            static_cast<std::int64_t>(packet.ip_len));
-  }
-}
-
 void UnivmonHhhEngine::add_batch(std::span<const PacketRecord> packets) {
-  // Level-major replay (see the header note): one pass per hierarchy
-  // level with the level's sketch and prefix length hoisted out of the
-  // loop. Reordering across levels is safe — each UnivMon owns disjoint
-  // state and update() is deterministic — so the final state is
-  // byte-identical to add() per packet.
+  // Level-major (see the header note): one pass per hierarchy level with
+  // the level's sketch and prefix length hoisted out of the loop.
   std::uint64_t batch_bytes = 0;
   for (const auto& p : packets) {
     if (p.family() != AddressFamily::kIpv4) continue;

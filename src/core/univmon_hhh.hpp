@@ -34,14 +34,14 @@ class UnivmonHhhEngine final : public HhhEngine {
   /// Engine over `params` (one UnivMon per hierarchy level).
   explicit UnivmonHhhEngine(const Params& params);
 
-  /// O(levels x depth) sketch updates per packet.
-  void add(const PacketRecord& packet) override;
-  /// Devirtualized level-major fast path: per hierarchy level, stream the
-  /// whole batch through that level's sketch. Byte-identical to the add()
-  /// loop — the per-level sketches share no state, so reordering updates
-  /// across levels cannot change any counter — while the level's rows
-  /// stay hot in cache across consecutive packets.
+  /// O(levels x depth) sketch updates per packet, level-major: per
+  /// hierarchy level, stream the whole batch through that level's sketch,
+  /// so the level's rows stay hot in cache across consecutive packets.
+  /// The per-level sketches share no state, so the order of updates
+  /// across levels, and so the batch cuts, cannot change any counter.
   void add_batch(std::span<const PacketRecord> packets) override;
+  /// Always IPv4.
+  AddressFamily family() const override { return AddressFamily::kIpv4; }
   /// Per-level heavy-hitter queries + conditioned discounting.
   HhhSet extract(double phi) const override;
   /// Rebuild every sketch (window boundary).

@@ -4,6 +4,7 @@
 #include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "net/pcap.hpp"
 #include "trace/synthetic_trace.hpp"
@@ -11,14 +12,10 @@
 
 namespace hhh::pipeline {
 
-std::size_t PacketSource::next_batch(std::span<PacketRecord> out) {
-  std::size_t n = 0;
-  while (n < out.size()) {
-    auto p = next();
-    if (!p) break;
-    out[n++] = *p;
-  }
-  return n;
+std::optional<PacketRecord> PacketSource::next() {
+  PacketRecord p;
+  if (next_batch({&p, 1}) == 0) return std::nullopt;
+  return p;
 }
 
 namespace {
@@ -26,11 +23,6 @@ namespace {
 class SpanSource final : public PacketSource {
  public:
   explicit SpanSource(std::span<const PacketRecord> packets) : packets_(packets) {}
-
-  std::optional<PacketRecord> next() override {
-    if (pos_ >= packets_.size()) return std::nullopt;
-    return packets_[pos_++];
-  }
 
   std::size_t next_batch(std::span<PacketRecord> out) override {
     const std::size_t n = std::min(out.size(), packets_.size() - pos_);
@@ -46,40 +38,29 @@ class SpanSource final : public PacketSource {
   std::size_t pos_ = 0;
 };
 
-class SyntheticSource final : public PacketSource {
+/// A streaming reader (anything with `std::optional<PacketRecord> next()`:
+/// the synthetic generator, the binary and CSV trace readers) as a source.
+template <typename Reader>
+class ReaderSource final : public PacketSource {
  public:
-  explicit SyntheticSource(const TraceConfig& config) : generator_(config) {}
+  template <typename Arg>
+  ReaderSource(std::string name, const Arg& arg) : reader_(arg), name_(std::move(name)) {}
 
-  std::optional<PacketRecord> next() override { return generator_.next(); }
+  std::size_t next_batch(std::span<PacketRecord> out) override {
+    std::size_t n = 0;
+    while (n < out.size()) {
+      auto p = reader_.next();
+      if (!p) break;
+      out[n++] = *p;
+    }
+    return n;
+  }
 
-  std::string name() const override { return "synthetic"; }
+  std::string name() const override { return name_; }
 
  private:
-  SyntheticTraceGenerator generator_;
-};
-
-class TraceFileSource final : public PacketSource {
- public:
-  explicit TraceFileSource(const std::string& path) : reader_(path) {}
-
-  std::optional<PacketRecord> next() override { return reader_.next(); }
-
-  std::string name() const override { return "trace"; }
-
- private:
-  BinaryTraceReader reader_;
-};
-
-class CsvFileSource final : public PacketSource {
- public:
-  explicit CsvFileSource(const std::string& path) : reader_(path) {}
-
-  std::optional<PacketRecord> next() override { return reader_.next(); }
-
-  std::string name() const override { return "csv"; }
-
- private:
-  CsvTraceReader reader_;
+  Reader reader_;
+  std::string name_;
 };
 
 class PcapSource final : public PacketSource {
@@ -87,20 +68,24 @@ class PcapSource final : public PacketSource {
   PcapSource(const std::string& path, bool rebase, PcapSourceStats* stats)
       : reader_(path), rebase_(rebase), stats_(stats) {}
 
-  std::optional<PacketRecord> next() override {
-    auto p = reader_.next();
+  std::size_t next_batch(std::span<PacketRecord> out) override {
+    std::size_t n = 0;
+    while (n < out.size()) {
+      auto p = reader_.next();
+      if (!p) break;
+      if (rebase_) {
+        if (!first_) first_ = p->ts;
+        p->ts = TimePoint() + (p->ts - *first_);
+      }
+      out[n++] = *p;
+    }
     if (stats_) {
       stats_->decoded_v4 = reader_.packets_decoded_v4();
       stats_->decoded_v6 = reader_.packets_decoded_v6();
       stats_->skipped_non_ip = reader_.packets_skipped_non_ip();
       stats_->skipped_malformed = reader_.packets_skipped_malformed();
     }
-    if (!p) return std::nullopt;
-    if (rebase_) {
-      if (!first_) first_ = p->ts;
-      p->ts = TimePoint() + (p->ts - *first_);
-    }
-    return p;
+    return n;
   }
 
   std::string name() const override { return "pcap"; }
@@ -135,33 +120,55 @@ class PacedSource final : public PacketSource {
       : inner_(std::move(inner)), pace_(pace),
         clock_(clock != nullptr ? clock : &steady_pace_clock()) {}
 
-  std::optional<PacketRecord> next() override {
-    // Consume the packet next_batch() may have buffered first, or mixing
-    // the two interfaces would deliver out of timestamp order.
-    auto p = lookahead_ ? std::exchange(lookahead_, std::nullopt) : inner_->next();
-    if (!p) return std::nullopt;
-    clock_->sleep_until_ns(deadline_of(*p));
-    note_delivery(*p);
-    return p;
-  }
-
   std::size_t next_batch(std::span<PacketRecord> out) override {
-    // Deliver everything already due without sleeping; once at least one
-    // packet is out, stop at the first deadline still in the future so the
-    // pipeline sees stream time advance at the delivery pace instead of
-    // blocking for a whole batch.
+    // Candidates come from the run held back by the last call, then from
+    // fresh runs pulled from the inner source straight into `out`. One
+    // clock read hands on every candidate already due; when none is,
+    // sleep until the first one's deadline, so the pipeline sees stream
+    // time advance at the delivery pace instead of blocking for a whole
+    // batch. The first candidate not yet due ends the call.
     std::size_t n = 0;
+    std::int64_t now = 0;
     while (n < out.size()) {
-      if (!lookahead_) {
-        lookahead_ = inner_->next();
-        if (!lookahead_) break;
+      const bool from_held = held_pos_ < held_.size();
+      std::span<const PacketRecord> run;
+      if (from_held) {
+        run = std::span<const PacketRecord>(held_).subspan(held_pos_);
+        run = run.first(std::min(run.size(), out.size() - n));
+      } else {
+        const std::size_t pulled =
+            inner_->next_batch(out.subspan(n, std::min(out.size() - n, kMaxRun)));
+        if (pulled == 0) break;
+        run = out.subspan(n, pulled);
       }
-      const std::int64_t deadline = deadline_of(*lookahead_);
-      if (n > 0 && deadline > clock_->now_ns()) break;
-      clock_->sleep_until_ns(deadline);
-      out[n++] = *lookahead_;
-      note_delivery(*lookahead_);
-      lookahead_.reset();
+      if (n == 0) now = clock_->now_ns();
+      if (!started_) {
+        started_ = true;
+        wall_start_ns_ = now;
+        trace_start_ = run.front().ts;
+      }
+      std::size_t due = count_due(run, now, delivered_ + n);
+      if (due == 0 && n == 0) {
+        clock_->sleep_until_ns(deadline_of(run.front(), delivered_));
+        now = clock_->now_ns();
+        due = std::max<std::size_t>(1, count_due(run, now, delivered_));
+      }
+      if (from_held) {
+        std::copy_n(run.begin(), due, out.begin() + static_cast<std::ptrdiff_t>(n));
+        held_pos_ += due;
+        if (held_pos_ == held_.size()) {
+          held_.clear();
+          held_pos_ = 0;
+        }
+      } else {
+        held_.assign(run.begin() + static_cast<std::ptrdiff_t>(due), run.end());
+      }
+      n += due;
+      if (due < run.size()) break;
+    }
+    if (n > 0) {
+      delivered_ += n;
+      last_ts_ = out[n - 1].ts;
     }
     return n;
   }
@@ -181,15 +188,15 @@ class PacedSource final : public PacketSource {
   std::string name() const override { return inner_->name() + "+paced"; }
 
  private:
-  std::int64_t deadline_of(const PacketRecord& p) {
-    if (!started_) {
-      started_ = true;
-      wall_start_ns_ = clock_->now_ns();
-      trace_start_ = p.ts;
-    }
+  // Packets pulled per refill. Bounds what is held back (and copied twice:
+  // into the hold, then out of it) when only the head of a run is due.
+  static constexpr std::size_t kMaxRun = 256;
+
+  // Wall-clock deadline of `p`, the `index`-th packet delivered.
+  std::int64_t deadline_of(const PacketRecord& p, std::uint64_t index) const {
     if (pace_.target_pps > 0.0) {
       return wall_start_ns_ + static_cast<std::int64_t>(
-                                  static_cast<double>(delivered_) / pace_.target_pps * 1e9);
+                                  static_cast<double>(index) / pace_.target_pps * 1e9);
     }
     if (pace_.speed > 0.0) {
       return wall_start_ns_ + static_cast<std::int64_t>(
@@ -198,15 +205,20 @@ class PacedSource final : public PacketSource {
     return wall_start_ns_;  // unpaced
   }
 
-  void note_delivery(const PacketRecord& p) {
-    ++delivered_;
-    last_ts_ = p.ts;
+  // Length of the prefix of `run` due at `now`, its first packet being the
+  // `index`-th delivered (deadlines never decrease).
+  std::size_t count_due(std::span<const PacketRecord> run, std::int64_t now,
+                        std::uint64_t index) const {
+    std::size_t due = 0;
+    while (due < run.size() && deadline_of(run[due], index + due) <= now) ++due;
+    return due;
   }
 
   std::unique_ptr<PacketSource> inner_;
   PaceConfig pace_;
   PaceClock* clock_;
-  std::optional<PacketRecord> lookahead_;
+  std::vector<PacketRecord> held_;  // pulled but not yet due, from held_pos_ on
+  std::size_t held_pos_ = 0;
   bool started_ = false;
   std::int64_t wall_start_ns_ = 0;
   std::optional<TimePoint> trace_start_;
@@ -226,15 +238,15 @@ std::unique_ptr<PacketSource> make_span_source(std::span<const PacketRecord> pac
 }
 
 std::unique_ptr<PacketSource> make_synthetic_source(const TraceConfig& config) {
-  return std::make_unique<SyntheticSource>(config);
+  return std::make_unique<ReaderSource<SyntheticTraceGenerator>>("synthetic", config);
 }
 
 std::unique_ptr<PacketSource> make_trace_source(const std::string& path) {
-  return std::make_unique<TraceFileSource>(path);
+  return std::make_unique<ReaderSource<BinaryTraceReader>>("trace", path);
 }
 
 std::unique_ptr<PacketSource> make_csv_source(const std::string& path) {
-  return std::make_unique<CsvFileSource>(path);
+  return std::make_unique<ReaderSource<CsvTraceReader>>("csv", path);
 }
 
 std::unique_ptr<PacketSource> make_pcap_source(const std::string& path,

@@ -4,14 +4,18 @@
 /// Every packet producer in the library (the synthetic generator, the
 /// binary/CSV trace readers, the pcap decoder, in-memory spans) adapts
 /// to this one pull interface, so detectors, tools and examples stop
-/// hand-rolling their own read loops. Sources stream: none of them needs
-/// the trace in memory (the span source borrows one the caller already
-/// holds), so multi-gigapacket replays run in constant space.
+/// hand-rolling their own read loops. A source implements one call,
+/// next_batch(), which fills a caller span; next() is a batch of one.
+/// Sources stream: none of them needs the trace in memory (the span
+/// source borrows one the caller already holds), so multi-gigapacket
+/// replays run in constant space.
 ///
 /// Pacing is a decorator, not a source property: PacedSource wraps any
 /// inner source and delays delivery so packets arrive at a wall-clock
 /// target rate (--pps) or proportionally to their record timestamps
 /// (--speed), which is what turns an offline trace into a live replay.
+/// It hands on runs pulled from the inner source's next_batch() and
+/// reads the clock once per call, not once per packet.
 #pragma once
 
 #include <chrono>
@@ -37,16 +41,17 @@ class PacketSource {
   /// Sources are owned polymorphically by the pipeline.
   virtual ~PacketSource() = default;
 
-  /// The next packet, or nullopt at end of stream. Timestamps must be
-  /// non-decreasing (the window policies' contract; late packets are
-  /// accounted in the window that is open when they arrive).
-  virtual std::optional<PacketRecord> next() = 0;
-
   /// Fill `out` from the stream; returns the number of packets written
-  /// (0 = end of stream). The default loops next(); paced sources
-  /// override to return partial batches at pacing boundaries so the
-  /// pipeline's clock keeps moving at the delivery rate.
-  virtual std::size_t next_batch(std::span<PacketRecord> out);
+  /// (0 = end of stream). Timestamps must be non-decreasing (the window
+  /// policies' contract; late packets are accounted in the window that
+  /// is open when they arrive). A source may return a partial batch
+  /// before the end: paced sources return what is due, so the pipeline's
+  /// clock keeps moving at the delivery rate.
+  virtual std::size_t next_batch(std::span<PacketRecord> out) = 0;
+
+  /// The next packet, or nullopt at end of stream: next_batch() over a
+  /// span of one. A source need not override it.
+  virtual std::optional<PacketRecord> next();
 
   /// The stream's current clock for wall-clock window policies: where the
   /// source has advanced to in trace time, independent of the last packet
@@ -61,7 +66,7 @@ class PacketSource {
 
 /// In-memory source over caller-owned packets (offline analyses, tests).
 /// Borrows: `packets` must outlive the source. next_batch() copies whole
-/// runs, so a pipeline over an in-memory trace pays no per-packet call.
+/// runs.
 std::unique_ptr<PacketSource> make_span_source(std::span<const PacketRecord> packets);
 /// A temporary vector would dangle; keep the packets alive instead.
 std::unique_ptr<PacketSource> make_span_source(std::vector<PacketRecord>&& packets) = delete;
@@ -78,7 +83,7 @@ std::unique_ptr<PacketSource> make_trace_source(const std::string& path);
 std::unique_ptr<PacketSource> make_csv_source(const std::string& path);
 
 /// Per-class decode accounting of a pcap source, updated as the source is
-/// drained (complete once the source returns nullopt). Mirrors
+/// drained (complete once the source reports end of stream). Mirrors
 /// PcapReader's counters so nothing a capture contained is silently lost.
 struct PcapSourceStats {
   std::uint64_t decoded_v4 = 0;         ///< IPv4 packets delivered

@@ -120,6 +120,38 @@ class Rng {
   std::array<std::uint64_t, 4> state_{};
 };
 
+/// Uniform level draws for the one-sampled-level update (RHHH, Memento).
+/// One xoshiro output is split into two 32-bit halves, each mapped to
+/// [0, n) by multiply-shift (Lemire reduction): two uniform draws per RNG
+/// step and no rejection loop, with bias < 2^-27 for n <= 33. Lives for
+/// one batch; a spare half left at the end of it is dropped.
+class LevelDraws {
+ public:
+  /// Draws in [0, n) from `rng` (borrowed).
+  LevelDraws(Rng& rng, std::uint64_t n) noexcept : rng_(rng), n_(n) {}
+
+  /// The next uniform level.
+  std::size_t next() noexcept {
+    std::uint64_t half;
+    if (have_spare_) {
+      half = spare_;
+      have_spare_ = false;
+    } else {
+      const std::uint64_t draw = rng_.next();
+      half = draw & 0xFFFF'FFFFULL;
+      spare_ = static_cast<std::uint32_t>(draw >> 32);
+      have_spare_ = true;
+    }
+    return static_cast<std::size_t>((half * n_) >> 32);
+  }
+
+ private:
+  Rng& rng_;
+  std::uint64_t n_;
+  std::uint32_t spare_ = 0;
+  bool have_spare_ = false;
+};
+
 /// Alias-method sampler: O(n) setup, O(1) per sample from a fixed discrete
 /// distribution. Used for Zipf-weighted address popularity.
 class DiscreteSampler {

@@ -26,7 +26,7 @@ TEST(TdbfDetectorCheckpoint, RoundTripPreservesContinuousQueries) {
   params.candidates_per_level = 64;
   TimeDecayingHhhDetector original(params);
   const auto packets = workload(0xC4EC'0006);
-  for (const auto& p : packets) original.offer(p);
+  for (const auto& p : packets) original.add(p);
 
   std::vector<std::uint8_t> bytes;
   wire::Writer w(bytes);
@@ -45,8 +45,8 @@ TEST(TdbfDetectorCheckpoint, RoundTripPreservesContinuousQueries) {
   auto more = workload(0xC4EC'0007);
   for (auto& p : more) {
     p.ts = p.ts + Duration::seconds(9);
-    original.offer(p);
-    restored.offer(p);
+    original.add(p);
+    restored.add(p);
   }
   const TimePoint later = more.back().ts;
   EXPECT_TRUE(

@@ -6,16 +6,23 @@
 // engine registers there in one line and inherits this whole suite.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "core/engine.hpp"
+#include "core/memento_hhh.hpp"
+#include "core/sliding_window.hpp"
+#include "core/tdbf_hhh.hpp"
 #include "harness/engine_registry.hpp"
 #include "harness/golden.hpp"
 #include "harness/pipeline_axis.hpp"
 #include "harness/trace_builder.hpp"
 #include "trace/synthetic_trace.hpp"
+#include "wire/snapshot.hpp"
 
 namespace hhh {
 namespace {
@@ -142,36 +149,23 @@ TEST_P(EngineConformance, AddBatchCountsEveryByte) {
   EXPECT_EQ(e->total_bytes(), harness::byte_sum(packets));
 }
 
-TEST_P(EngineConformance, AddBatchMatchesAddLoop) {
-  // Feeding the same stream through add() and add_batch() must be
-  // observationally equivalent. Engines whose batch path replays add()
-  // verbatim (or commutes exactly, like the exact trie) must produce the
-  // *identical* HHH set; randomized/batch-reordered engines (rhhh draws
-  // levels differently, hss reorders Space-Saving updates) still must
-  // agree on totals and report conformant sets.
-  const auto packets = workload(9, 20000);
-  auto loop_engine = engine();
-  for (const auto& p : packets) loop_engine->add(p);
-  auto batch_engine = engine();
+TEST_P(EngineConformance, TotalBytesCountsOnlyItsOwnFamily) {
+  // Packets of the other family are ignored (HhhEngine::family), in mixed
+  // batches and in single-family batches of either family alike.
+  auto e = engine();
+  const auto packets = harness::TraceBuilder(10).compact_space().v6_fraction(0.5).packets(20000);
   const std::span<const PacketRecord> all(packets);
   for (std::size_t i = 0; i < all.size(); i += 4096) {
-    batch_engine->add_batch(all.subspan(i, std::min<std::size_t>(4096, all.size() - i)));
+    e->add_batch(all.subspan(i, std::min<std::size_t>(4096, all.size() - i)));
   }
-  EXPECT_EQ(batch_engine->total_bytes(), loop_engine->total_bytes());
-
-  const bool deterministic_batch =
-      engine_name() == "exact" || engine_name() == "ancestry" || engine_name() == "univmon";
-  if (deterministic_batch) {
-    EXPECT_TRUE(harness::hhh_sets_equal(loop_engine->extract(0.02),
-                                        batch_engine->extract(0.02)));
-  } else {
-    // Same distribution, different draws: the heaviest prefixes must still
-    // surface. Compare at a coarse threshold where both are reliable.
-    const auto loop_set = loop_engine->extract(0.1);
-    const auto batch_set = batch_engine->extract(0.1);
-    EXPECT_TRUE(harness::hhh_set_covers(batch_set, loop_set.prefixes()))
-        << "batch ingestion lost heavy prefixes the add() loop finds";
+  for (std::size_t i = 0; i < 100; ++i) e->add(packets[i]);
+  std::uint64_t own = 0;
+  for (std::size_t i = 0; i < packets.size(); ++i) {
+    if (packets[i].family() != hierarchy().family()) continue;
+    own += packets[i].ip_len * (i < 100 ? 2u : 1u);
   }
+  EXPECT_EQ(e->family(), hierarchy().family());
+  EXPECT_EQ(e->total_bytes(), own);
 }
 
 TEST_P(EngineConformance, WorksInsideTheDisjointPipeline) {
@@ -204,6 +198,116 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineConformance,
                          ::testing::Range<std::size_t>(0, conformance_engines().size()),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return harness::conformance_engine_name(info.param);
+                         });
+
+// ------------------------------------------------ segmentation invariance
+
+/// A summary under the segmentation check: every registry engine, plus
+/// the summaries outside the registry.
+struct SegmentationCase {
+  std::string name;
+  std::function<std::unique_ptr<HhhSummary>()> make;
+  double v6_fraction = 0.0;
+  bool sampled = false;  ///< ingest draws random numbers
+};
+
+const std::vector<SegmentationCase>& segmentation_cases() {
+  static const std::vector<SegmentationCase> cases = [] {
+    std::vector<SegmentationCase> out;
+    for (const auto& c : conformance_engines()) {
+      out.push_back({c.name, [make = c.make] { return std::unique_ptr<HhhSummary>(make()); },
+                     c.v6_fraction, c.sampled});
+    }
+    out.push_back({"tdbf", [] {
+                     return std::make_unique<TimeDecayingHhhDetector>(
+                         TimeDecayingHhhDetector::for_window(Duration::seconds(1)));
+                   }});
+    out.push_back({"exact_sliding", [] {
+                     return make_exact_sliding_summary(
+                         {.window = Duration::seconds(1), .step = Duration::millis(250)});
+                   }});
+    out.push_back({"exact_sliding_v6",
+                   [] {
+                     return make_exact_sliding_summary(
+                         {.window = Duration::seconds(1),
+                          .step = Duration::millis(250),
+                          .hierarchy = Hierarchy::v6_byte_granularity()});
+                   },
+                   /*v6_fraction=*/1.0});
+    out.push_back({"memento",
+                   [] {
+                     return std::make_unique<MementoHhhDetector>(
+                         MementoHhhParams{.window = Duration::seconds(1)});
+                   },
+                   /*v6_fraction=*/0.0, /*sampled=*/true});
+    return out;
+  }();
+  return cases;
+}
+
+class SegmentationInvariance : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  const SegmentationCase& spec() const { return segmentation_cases()[GetParam()]; }
+
+  /// A fresh summary fed `packets` in runs of `batch` (0 = per-packet
+  /// add()).
+  std::unique_ptr<HhhSummary> fed(const std::vector<PacketRecord>& packets,
+                                  std::size_t batch) const {
+    auto s = spec().make();
+    if (batch == 0) {
+      for (const auto& p : packets) s->add(p);
+      return s;
+    }
+    const std::span<const PacketRecord> all(packets);
+    for (std::size_t i = 0; i < all.size(); i += batch) {
+      s->add_batch(all.subspan(i, std::min(batch, all.size() - i)));
+    }
+    return s;
+  }
+};
+
+TEST_P(SegmentationInvariance, ReportsDoNotDependOnBatchCuts) {
+  // Summaries whose ingest draws no random numbers report byte-identically
+  // (and serialize to identical frames) however the stream is cut into
+  // batches. Sampled summaries draw different levels per cut; they must
+  // still agree on totals and surface the same heavy prefixes.
+  const auto packets = harness::TraceBuilder(9)
+                           .compact_space()
+                           .v6_fraction(spec().v6_fraction)
+                           .packets(20000);
+  const TimePoint now = packets.back().ts;
+  auto per_packet = fed(packets, 0);
+  for (const std::size_t batch : {7ul, 4096ul}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    auto batched = fed(packets, batch);
+    EXPECT_EQ(batched->total(now), per_packet->total(now));
+    if (spec().sampled) {
+      // A prefix one realization reports with twice the threshold to
+      // spare, another reports too.
+      const auto loop_set = per_packet->report(now, 0.1);
+      std::vector<PrefixKey> clear;
+      for (const auto& item : loop_set.items()) {
+        if (item.conditioned_bytes >= 2 * loop_set.threshold_bytes) clear.push_back(item.prefix);
+      }
+      EXPECT_FALSE(clear.empty());
+      EXPECT_TRUE(harness::hhh_set_covers(batched->report(now, 0.1), clear));
+      continue;
+    }
+    for (const double phi : {0.02, 0.1}) {
+      EXPECT_TRUE(harness::hhh_sets_equal(per_packet->report(now, phi),
+                                          batched->report(now, phi)))
+          << "phi=" << phi;
+    }
+    if (per_packet->serializable()) {
+      EXPECT_EQ(wire::save_engine(*per_packet), wire::save_engine(*batched));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllSummaries, SegmentationInvariance,
+                         ::testing::Range<std::size_t>(0, segmentation_cases().size()),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return segmentation_cases()[info.param].name;
                          });
 
 }  // namespace

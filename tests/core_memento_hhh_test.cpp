@@ -45,8 +45,8 @@ bool contains(const HhhSet& set, const PrefixKey& p) {
 TEST(MementoHhh, SteadyHeavySourceDetected) {
   MementoHhhDetector det({.window = Duration::seconds(10)});
   for (int i = 0; i < 4000; ++i) {
-    det.offer(pkt(i * 0.005, ip("10.1.2.3"), 700));
-    det.offer(pkt(i * 0.005, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
+    det.add(pkt(i * 0.005, ip("10.1.2.3"), 700));
+    det.add(pkt(i * 0.005, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
   }
   const auto result = det.report(at(20.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("10.1.2.3/32")));
@@ -57,13 +57,13 @@ TEST(MementoHhh, SharpWindowExpiryAtFrameStep) {
   // frame (frame 1) stays inside the window through now < 7.0 and is
   // fully expired one frame step later — queries bracket the boundary.
   MementoHhhDetector det({.window = Duration::seconds(5), .frames = 5});
-  for (int i = 0; i < 400; ++i) det.offer(pkt(i * 0.005, ip("66.6.6.6"), 1000));
-  for (int i = 0; i < 440; ++i) det.offer(pkt(2.0 + i * 0.01, ip("50.0.0.1"), 200));
+  for (int i = 0; i < 400; ++i) det.add(pkt(i * 0.005, ip("66.6.6.6"), 1000));
+  for (int i = 0; i < 440; ++i) det.add(pkt(2.0 + i * 0.01, ip("50.0.0.1"), 200));
 
   const auto before = det.report(at(6.5), 0.3);
   EXPECT_TRUE(contains(before, pfx("66.6.6.6/32")));
 
-  for (int i = 0; i < 100; ++i) det.offer(pkt(6.5 + i * 0.01, ip("50.0.0.1"), 200));
+  for (int i = 0; i < 100; ++i) det.add(pkt(6.5 + i * 0.01, ip("50.0.0.1"), 200));
   const auto after = det.report(at(7.5), 0.3);
   EXPECT_FALSE(contains(after, pfx("66.6.6.6/32")));
   EXPECT_TRUE(contains(after, pfx("50.0.0.1/32")));
@@ -74,11 +74,11 @@ TEST(MementoHhh, HierarchicalAggregation) {
   // Four siblings, each ~12%: the /24 qualifies at 30%, the hosts do not.
   for (int i = 0; i < 3000; ++i) {
     const double t = i * 0.005;
-    det.offer(pkt(t, ip("10.1.2.1"), 120));
-    det.offer(pkt(t, ip("10.1.2.2"), 120));
-    det.offer(pkt(t, ip("10.1.2.3"), 120));
-    det.offer(pkt(t, ip("10.1.2.4"), 120));
-    det.offer(pkt(t, ip("99.0.0.1"), 520));
+    det.add(pkt(t, ip("10.1.2.1"), 120));
+    det.add(pkt(t, ip("10.1.2.2"), 120));
+    det.add(pkt(t, ip("10.1.2.3"), 120));
+    det.add(pkt(t, ip("10.1.2.4"), 120));
+    det.add(pkt(t, ip("99.0.0.1"), 520));
   }
   const auto result = det.report(at(15.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("10.1.2.0/24")));
@@ -107,7 +107,7 @@ double recall_at_40s(const Hierarchy& hierarchy, double v6_fraction) {
   Exact exact({.window = Duration::seconds(10),
                .step = Duration::seconds(1),
                .hierarchy = hierarchy});
-  for (const auto& p : packets) det.offer(p);
+  for (const auto& p : packets) det.add(p);
   exact.add_batch(packets);
   const auto truth = exact.report(at(40.0), 0.05).prefixes();
   const auto approx_prefixes = det.report(at(40.0), 0.05).prefixes();
@@ -137,23 +137,24 @@ TEST(MementoHhh, WindowTotalIsExactRegardlessOfSampling) {
   MementoHhhDetector det({.window = Duration::seconds(10), .frames = 10});
   double sum = 0.0;
   for (int i = 0; i < 5000; ++i) {
-    det.offer(pkt(5.0 + i * 0.0005, ip("10.0.0.1"), 100 + i % 7));
+    det.add(pkt(5.0 + i * 0.0005, ip("10.0.0.1"), 100 + i % 7));
     sum += 100 + i % 7;
   }
   EXPECT_DOUBLE_EQ(det.total(at(7.5)), sum);
 }
 
-TEST(MementoHhh, OfferBatchMatchesOfferTotalsAndDetection) {
-  // add_batch draws levels with the amortized two-halves scheme, so the
-  // summaries are not byte-identical to offer() — but window totals are
-  // exact on both paths and both detect the same heavy source.
+TEST(MementoHhh, PerPacketAndBatchFeedsAgreeOnTotalsAndDetection) {
+  // add() is a batch of one, which drops the spare half of its level
+  // draw, so the summaries are not byte-identical to one batch — but
+  // window totals are exact on both feeds and both detect the same heavy
+  // source.
   std::vector<PacketRecord> packets;
   for (int i = 0; i < 4000; ++i) {
     packets.push_back(pkt(i * 0.0025, ip("10.1.2.3"), 700));
     packets.push_back(pkt(i * 0.0025, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
   }
   MementoHhhDetector one({}), batched({});
-  for (const auto& p : packets) one.offer(p);
+  for (const auto& p : packets) one.add(p);
   batched.add_batch(packets);
   EXPECT_DOUBLE_EQ(one.total(at(10.0)), batched.total(at(10.0)));
   EXPECT_TRUE(contains(one.report(at(10.0), 0.3), pfx("10.1.2.3/32")));
@@ -165,10 +166,10 @@ TEST(MementoHhh, MergeCombinesVantages) {
   MementoHhhDetector a(params), b(params);
   for (int i = 0; i < 3000; ++i) {
     const double t = i * 0.003;
-    a.offer(pkt(t, ip("10.1.2.3"), 600));
-    a.offer(pkt(t, ip("50.0.0.1"), 400));
-    b.offer(pkt(t, ip("99.9.9.9"), 600));
-    b.offer(pkt(t, ip("60.0.0.1"), 400));
+    a.add(pkt(t, ip("10.1.2.3"), 600));
+    a.add(pkt(t, ip("50.0.0.1"), 400));
+    b.add(pkt(t, ip("99.9.9.9"), 600));
+    b.add(pkt(t, ip("60.0.0.1"), 400));
   }
   const double total_a = a.total(at(9.0));
   const double total_b = b.total(at(9.0));
@@ -190,7 +191,7 @@ TEST(MementoHhh, MergeRejectsMismatchedGeometry) {
 TEST(MementoHhh, SnapshotRoundTripPreservesQueries) {
   MementoHhhDetector det({.window = Duration::seconds(10), .frames = 8});
   for (int i = 0; i < 5000; ++i) {
-    det.offer(pkt(i * 0.002, ip(i % 3 ? "10.1.2.3" : "50.0.0.1"), 400 + i % 11));
+    det.add(pkt(i * 0.002, ip(i % 3 ? "10.1.2.3" : "50.0.0.1"), 400 + i % 11));
   }
   std::vector<std::uint8_t> payload;
   wire::Writer w(payload);
@@ -222,15 +223,15 @@ TEST(MementoHhh, V6DetectorFindsHeavyPrefix) {
                             .window = Duration::seconds(10)});
   for (int i = 0; i < 4000; ++i) {
     const double t = i * 0.0025;
-    det.offer(pkt6(t, "2001:db8::1", 700));
-    det.offer(pkt6(t, i % 2 ? "fd00::1" : "fd00::2", 300));
+    det.add(pkt6(t, "2001:db8::1", 700));
+    det.add(pkt6(t, i % 2 ? "fd00::1" : "fd00::2", 300));
   }
   EXPECT_EQ(det.name(), "memento_v6");
   const auto result = det.report(at(10.0), 0.3);
   EXPECT_TRUE(contains(result, pfx("2001:db8::1/128")));
   // v4 packets are ignored by the v6 detector.
   const double before = det.total(at(10.0));
-  det.offer(pkt(10.0, ip("10.0.0.1"), 100));
+  det.add(pkt(10.0, ip("10.0.0.1"), 100));
   EXPECT_DOUBLE_EQ(det.total(at(10.0)), before);
 }
 
@@ -240,7 +241,7 @@ TEST(MementoHhh, BoundedMemoryUnderDistinctFlood) {
   const std::size_t idle = det.memory_bytes();
   Rng rng(5);
   for (int i = 0; i < 50000; ++i) {
-    det.offer(pkt(i * 0.001, Ipv4Address(static_cast<std::uint32_t>(rng.next())), 100));
+    det.add(pkt(i * 0.001, Ipv4Address(static_cast<std::uint32_t>(rng.next())), 100));
   }
   EXPECT_LT(det.memory_bytes(), 4u << 20);
   // Traffic-independent: the flood added no slots beyond the fixed arena.

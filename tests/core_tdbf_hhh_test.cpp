@@ -35,8 +35,8 @@ TEST(TdbfHhh, SteadyHeavySourceIsDetectedAtAnyInstant) {
   // 70% of bytes from one host, 30% scattered.
   for (int i = 0; i < 4000; ++i) {
     const double t = i * 0.01;
-    det.offer(pkt(t, ip("10.1.2.3"), 700));
-    det.offer(pkt(t, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
+    det.add(pkt(t, ip("10.1.2.3"), 700));
+    det.add(pkt(t, ip(i % 2 ? "50.0.0.1" : "60.0.0.1"), 300));
   }
   // Query at several arbitrary instants — windowless detection.
   for (const double q : {20.0, 25.7, 33.333, 39.99}) {
@@ -50,8 +50,8 @@ TEST(TdbfHhh, SteadyHeavySourceIsDetectedAtAnyInstant) {
 TEST(TdbfHhh, FinishedBurstFadesWithoutReset) {
   TimeDecayingHhhDetector det(TimeDecayingHhhDetector::for_window(Duration::seconds(5)));
   // Burst dominates until t=10, then only background continues.
-  for (int i = 0; i < 1000; ++i) det.offer(pkt(i * 0.01, ip("66.6.6.6"), 1000));
-  for (int i = 0; i < 3000; ++i) det.offer(pkt(10.0 + i * 0.01, ip("50.0.0.1"), 200));
+  for (int i = 0; i < 1000; ++i) det.add(pkt(i * 0.01, ip("66.6.6.6"), 1000));
+  for (int i = 0; i < 3000; ++i) det.add(pkt(10.0 + i * 0.01, ip("50.0.0.1"), 200));
 
   const auto during = det.report(at(10.0), 0.3).prefixes();
   EXPECT_TRUE(std::binary_search(during.begin(), during.end(), pfx("66.6.6.6/32")));
@@ -68,11 +68,11 @@ TEST(TdbfHhh, HierarchicalAggregationAcrossLevels) {
   // at phi=0.3, but the /24 aggregates to ~48%.
   for (int i = 0; i < 3000; ++i) {
     const double t = i * 0.01;
-    det.offer(pkt(t, ip("10.1.2.1"), 120));
-    det.offer(pkt(t, ip("10.1.2.2"), 120));
-    det.offer(pkt(t, ip("10.1.2.3"), 120));
-    det.offer(pkt(t, ip("10.1.2.4"), 120));
-    det.offer(pkt(t, ip("99.0.0.1"), 520));
+    det.add(pkt(t, ip("10.1.2.1"), 120));
+    det.add(pkt(t, ip("10.1.2.2"), 120));
+    det.add(pkt(t, ip("10.1.2.3"), 120));
+    det.add(pkt(t, ip("10.1.2.4"), 120));
+    det.add(pkt(t, ip("99.0.0.1"), 520));
   }
   const auto result = det.report(at(30.0), 0.3);
   const auto prefixes = result.prefixes();
@@ -84,7 +84,7 @@ TEST(TdbfHhh, HierarchicalAggregationAcrossLevels) {
 TEST(TdbfHhh, DecayedTotalTracksRecentRate) {
   TimeDecayingHhhDetector det(TimeDecayingHhhDetector::for_window(Duration::seconds(10)));
   // Steady 100 kB/s for 60 s: decayed total ~ rate * tau_eff = 100k * 10.
-  for (int i = 0; i < 60000; ++i) det.offer(pkt(i * 0.001, ip("10.0.0.1"), 100));
+  for (int i = 0; i < 60000; ++i) det.add(pkt(i * 0.001, ip("10.0.0.1"), 100));
   EXPECT_NEAR(det.total(at(60.0)), 1e6, 1e6 * 0.05);
 }
 
@@ -111,7 +111,7 @@ TEST(TdbfHhh, AgreesWithExactSlidingWindowOnStationaryTraffic) {
   std::vector<const PacketRecord*> window_packets;
 
   for (const auto& p : packets) {
-    det.offer(p);
+    det.add(p);
     window_agg.add(p.src(), p.ip_len);
     window_packets.push_back(&p);
   }
@@ -136,7 +136,7 @@ TEST(TdbfHhh, AgreesWithExactSlidingWindowOnStationaryTraffic) {
 
 TEST(TdbfHhh, ThresholdRelativeToDecayedTotal) {
   TimeDecayingHhhDetector det(TimeDecayingHhhDetector::for_window(Duration::seconds(10)));
-  for (int i = 0; i < 1000; ++i) det.offer(pkt(i * 0.01, ip("10.0.0.1"), 100));
+  for (int i = 0; i < 1000; ++i) det.add(pkt(i * 0.01, ip("10.0.0.1"), 100));
   const auto result = det.report(at(10.0), 0.1);
   EXPECT_GT(result.threshold_bytes, 0u);
   EXPECT_NEAR(static_cast<double>(result.threshold_bytes),
@@ -164,7 +164,7 @@ TEST(TdbfHhh, CatchesBoundaryStraddlingBurstThatDisjointMisses) {
   }
   std::sort(packets.begin(), packets.end(),
             [](const PacketRecord& a, const PacketRecord& b) { return a.ts < b.ts; });
-  for (const auto& p : packets) det.offer(p);
+  for (const auto& p : packets) det.add(p);
 
   // At t=12 the decayed mass of the burst is near its 40 kB peak while the
   // decayed total is ~ background*tau + burst: phi=0.25 is crossed.

@@ -91,7 +91,7 @@ TEST(Integration, TdbfRecoversHiddenHhhs) {
   PrefixUnion tdbf_union;
   TimePoint next_query = TimePoint::from_seconds(10.0);
   for (const auto& p : packets) {
-    tdbf.offer(p);
+    tdbf.add(p);
     if (p.ts >= next_query) {  // query cadence = the sliding step (1 s)
       tdbf_union.add(tdbf.report(p.ts, params.phi).prefixes());
       next_query += Duration::seconds(1);

@@ -193,6 +193,27 @@ TEST(PacketSourceTest, PacedSourceStreamClockTracksSpeedFactor) {
   EXPECT_EQ(*now, TimePoint::from_seconds(6.0));
 }
 
+TEST(PacketSourceTest, PacedSourceHandsOnDueRunsWholeAndHoldsBackTheRest) {
+  // 300 packets due at t=0, then 300 due 1 s later: the first call hands
+  // on the due 300 across two refills and holds back the rest of the
+  // second run; the next call sleeps once, then hands on the held tail
+  // and the fresh packets behind it. Nothing is lost or reordered.
+  auto packets = harness::packet_train(Ipv4Address::of(10, 0, 0, 1), 100, 300, 0.0, 0.0);
+  const auto later = harness::packet_train(Ipv4Address::of(10, 0, 0, 2), 100, 300, 1.0, 0.0);
+  packets.insert(packets.end(), later.begin(), later.end());
+  FakePaceClock clock;
+  const std::int64_t t0 = clock.now_ns();
+  auto source = make_paced_source(make_span_source(packets), {.speed = 1.0}, &clock);
+  std::vector<PacketRecord> buffer(1000), back;
+  for (const std::size_t expected : {300u, 300u, 0u}) {
+    const std::size_t n = source->next_batch(buffer);
+    ASSERT_EQ(n, expected);
+    back.insert(back.end(), buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+  EXPECT_EQ(clock.now_ns() - t0, 1'000'000'000LL);
+  EXPECT_EQ(back, packets);
+}
+
 TEST(PacketSourceTest, UnpacedPacedSourceDeliversEverythingImmediately) {
   const auto packets = harness::packet_train(Ipv4Address::of(10, 0, 0, 1), 100, 50);
   auto source = make_paced_source(make_span_source(packets), {});
@@ -306,10 +327,13 @@ TEST(PipelineTest, WallClockClosesEmptyWindowsThroughQuietStretches) {
   // between without waiting for more packets.
   class QuietSource final : public PacketSource {
    public:
-    std::optional<PacketRecord> next() override {
-      if (sent_ >= 3) return std::nullopt;
-      return harness::packet_at(0.1 * static_cast<double>(sent_++),
-                                Ipv4Address::of(10, 0, 0, 1), 500);
+    std::size_t next_batch(std::span<PacketRecord> out) override {
+      std::size_t n = 0;
+      for (; n < out.size() && sent_ < 3; ++n) {
+        out[n] = harness::packet_at(0.1 * static_cast<double>(sent_++),
+                                    Ipv4Address::of(10, 0, 0, 1), 500);
+      }
+      return n;
     }
     std::optional<TimePoint> stream_now() const override {
       return sent_ >= 3 ? std::optional<TimePoint>(TimePoint::from_seconds(5.0))

@@ -77,8 +77,8 @@ std::unique_ptr<MementoHhhDetector> memento_vantage(Ipv4Address local_heavy,
       MementoHhhParams{.window = Duration::seconds(10), .seed = seed});
   for (std::size_t i = 0; i < 2000; ++i) {
     const double t = 0.0004 * static_cast<double>(i);
-    det->offer(harness::packet_at(t, local_heavy, 100));
-    if (i % 10 < 3) det->offer(harness::packet_at(t, Ipv4Address::of(10, 0, 0, 1), 100));
+    det->add(harness::packet_at(t, local_heavy, 100));
+    if (i % 10 < 3) det->add(harness::packet_at(t, Ipv4Address::of(10, 0, 0, 1), 100));
   }
   return det;
 }

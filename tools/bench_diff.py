@@ -50,15 +50,12 @@ def main():
     print(f"current:  {sys.argv[2]} ({cur.get('packets', '?')} packets, "
           f"{cur.get('hardware_threads', '?')} hw threads)")
     print()
-    print(f"{'engine':<22} {'add_pps':>12} {'Δ':>9} {'batch_pps':>12} {'Δ':>9} {'speedup':>8}")
+    print(f"{'engine':<22} {'batch_pps':>12} {'Δ':>9}")
     for e in cur.get("engines", []):
         known = e["engine"] in base_engines
         b = base_engines.get(e["engine"], {})
-        print(f"{e['engine']:<22} {e['add_pps']:>12,.0f} "
-              f"{fmt_delta(e['add_pps'], b.get('add_pps', 0), known=known):>9} "
-              f"{e['add_batch_pps']:>12,.0f} "
-              f"{fmt_delta(e['add_batch_pps'], b.get('add_batch_pps', 0), known=known):>9} "
-              f"{e['batch_speedup']:>8.2f}")
+        print(f"{e['engine']:<22} {e['add_batch_pps']:>12,.0f} "
+              f"{fmt_delta(e['add_batch_pps'], b.get('add_batch_pps', 0), known=known):>9}")
     cur_engines = {e["engine"] for e in cur.get("engines", [])}
     for name in base_engines:
         if name not in cur_engines:
@@ -128,15 +125,12 @@ def main():
         print()
         print(f"sliding window (W={sliding.get('window_s', '?')}s, "
               f"phi={sliding.get('phi', '?')})")
-        print(f"{'engine':<15} {'offer_pps':>12} {'Δ':>9} {'batch_pps':>12} {'Δ':>9} "
-              f"{'prec':>5} {'recall':>6}")
+        print(f"{'engine':<15} {'batch_pps':>12} {'Δ':>9} {'prec':>5} {'recall':>6}")
         for r in sliding.get("rows", []):
             known = r["engine"] in base_rows
             b = base_rows.get(r["engine"], {})
-            print(f"{r['engine']:<15} {r['offer_pps']:>12,.0f} "
-                  f"{fmt_delta(r['offer_pps'], b.get('offer_pps', 0), known=known):>9} "
-                  f"{r['offer_batch_pps']:>12,.0f} "
-                  f"{fmt_delta(r['offer_batch_pps'], b.get('offer_batch_pps', 0), known=known):>9} "
+            print(f"{r['engine']:<15} {r['add_batch_pps']:>12,.0f} "
+                  f"{fmt_delta(r['add_batch_pps'], b.get('add_batch_pps', 0), known=known):>9} "
                   f"{r['precision']:>5.2f} {r['recall']:>6.2f}")
         speedup = sliding.get("memento_vs_exact_sliding_speedup")
         if speedup is not None:
@@ -144,7 +138,7 @@ def main():
                 " ⚠ below %.0fx gate" % SLIDING_SPEEDUP_GATE
             base_speedup = base.get("sliding", {}).get("memento_vs_exact_sliding_speedup")
             base_note = f" (baseline {base_speedup:.2f}x)" if base_speedup else ""
-            print(f"memento vs exact_sliding: {speedup:.2f}x offer_batch pps{flag}{base_note}")
+            print(f"memento vs exact_sliding: {speedup:.2f}x add_batch pps{flag}{base_note}")
 
     base_snaps = {s["engine"]: s for s in base.get("snapshot_roundtrip", [])}
     print()

@@ -15,8 +15,7 @@ const std::vector<EngineSpec>& engine_registry() {
        [] {
          return std::make_unique<RhhhEngine>(
              RhhhEngine::Params{.counters_per_level = 512, .seed = 42});
-       },
-       Hierarchy::byte_granularity(), /*v6_fraction=*/0.0, /*sampled=*/true},
+       }},
       {"hss",
        [] {
          return std::make_unique<RhhhEngine>(RhhhEngine::Params{
@@ -40,8 +39,7 @@ const std::vector<EngineSpec>& engine_registry() {
        [] {
          return make_sharded_rhhh_engine(Hierarchy::byte_granularity(), 4,
                                          /*counters_per_level=*/512, /*base_seed=*/42);
-       },
-       Hierarchy::byte_granularity(), /*v6_fraction=*/0.0, /*sampled=*/true},
+       }},
       // IPv6 engines: same contract, v6 hierarchy, pure-v6 workload. The
       // whole conformance + snapshot + accuracy axis runs against them
       // with zero extra per-engine code — the point of the generic key
@@ -58,7 +56,7 @@ const std::vector<EngineSpec>& engine_registry() {
                         .seed = 42});
        },
        Hierarchy::v6_byte_granularity(),
-       /*v6_fraction=*/1.0, /*sampled=*/true},
+       /*v6_fraction=*/1.0},
       {"sharded_exact_v6_x2",
        [] { return make_sharded_exact_engine(Hierarchy::v6_byte_granularity(), 2); },
        Hierarchy::v6_byte_granularity(),

@@ -42,10 +42,6 @@ struct EngineSpec {
   /// Fraction of IPv6 packets in the engine's natural workload (0 = pure
   /// v4, 1 = pure v6) — matches TraceConfig::v6_fraction.
   double v6_fraction = 0.0;
-  /// True when ingest draws random numbers (RHHH's level sampler), so the
-  /// state depends on how the stream is cut into batches. Every other
-  /// engine reports identically under any segmentation.
-  bool sampled = false;
 };
 
 /// Every registered engine. The list is append-only within a PR: names

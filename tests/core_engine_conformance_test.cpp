@@ -6,6 +6,7 @@
 // engine registers there in one line and inherits this whole suite.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <set>
@@ -208,15 +209,25 @@ struct SegmentationCase {
   std::string name;
   std::function<std::unique_ptr<HhhSummary>()> make;
   double v6_fraction = 0.0;
-  bool sampled = false;  ///< ingest draws random numbers
+  /// Hierarchy levels the ingest draws one of per packet (RHHH's and
+  /// Memento's sampler), so the state depends on how the stream is cut
+  /// into batches; 0 = ingest draws no random numbers.
+  std::size_t sampled_levels = 0;
 };
+
+/// Registry engines that draw a level per packet. The sharded RHHH engine
+/// is not one of them: it restages every packet into fixed-size shard
+/// batches, so its replicas draw the same levels under any cut.
+std::size_t drawn_levels(const harness::EngineCase& c) {
+  return c.name == "rhhh" || c.name == "rhhh_v6" ? c.hierarchy.levels() : 0;
+}
 
 const std::vector<SegmentationCase>& segmentation_cases() {
   static const std::vector<SegmentationCase> cases = [] {
     std::vector<SegmentationCase> out;
     for (const auto& c : conformance_engines()) {
       out.push_back({c.name, [make = c.make] { return std::unique_ptr<HhhSummary>(make()); },
-                     c.v6_fraction, c.sampled});
+                     c.v6_fraction, drawn_levels(c)});
     }
     out.push_back({"tdbf", [] {
                      return std::make_unique<TimeDecayingHhhDetector>(
@@ -239,7 +250,7 @@ const std::vector<SegmentationCase>& segmentation_cases() {
                      return std::make_unique<MementoHhhDetector>(
                          MementoHhhParams{.window = Duration::seconds(1)});
                    },
-                   /*v6_fraction=*/0.0, /*sampled=*/true});
+                   /*v6_fraction=*/0.0, Hierarchy::byte_granularity().levels()});
     return out;
   }();
   return cases;
@@ -266,6 +277,30 @@ class SegmentationInvariance : public ::testing::TestWithParam<std::size_t> {
   }
 };
 
+/// Three standard deviations of the difference between two sampled
+/// realizations of `prefix`'s conditioned estimate. RHHH and Memento draw
+/// one of H levels uniformly per packet and scale the drawn level's count
+/// by H, so the conditioned estimate of a reported prefix p is
+///   C_p = sum over packets i in p of H * w_i * (1[l_i = l_p] - 1[l_i = l_d(i)]),
+/// where w_i is the packet's bytes and d(i) the closest reported
+/// descendant of p holding packet i (no second term when there is none).
+/// Each term is unbiased (its mean is w_i, or 0 inside a reported
+/// descendant) with variance at most 2H * w_i^2, so two independently
+/// drawn feeds that select the same descendants differ by a standard
+/// deviation of at most 2 * sqrt(H * sum_{i in p} w_i^2).
+/// This counts sampling error only: on the conformance workload every
+/// level that holds a reported prefix has at most 160 distinct keys,
+/// fewer than the summaries' 512 counters, so Space-Saving adds none.
+double sampling_margin(const std::vector<PacketRecord>& packets, PrefixKey prefix,
+                       std::size_t levels) {
+  double square_sum = 0.0;
+  for (const auto& p : packets) {
+    if (!prefix.contains(p.src())) continue;
+    square_sum += static_cast<double>(p.ip_len) * static_cast<double>(p.ip_len);
+  }
+  return 3.0 * 2.0 * std::sqrt(static_cast<double>(levels) * square_sum);
+}
+
 TEST_P(SegmentationInvariance, ReportsDoNotDependOnBatchCuts) {
   // Summaries whose ingest draws no random numbers report byte-identically
   // (and serialize to identical frames) however the stream is cut into
@@ -281,13 +316,17 @@ TEST_P(SegmentationInvariance, ReportsDoNotDependOnBatchCuts) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     auto batched = fed(packets, batch);
     EXPECT_EQ(batched->total(now), per_packet->total(now));
-    if (spec().sampled) {
-      // A prefix one realization reports with twice the threshold to
-      // spare, another reports too.
+    if (spec().sampled_levels > 0) {
+      // Every prefix the per-packet feed reports clear of the threshold by
+      // more than the sampling margin, the batched feed reports too.
       const auto loop_set = per_packet->report(now, 0.1);
       std::vector<PrefixKey> clear;
       for (const auto& item : loop_set.items()) {
-        if (item.conditioned_bytes >= 2 * loop_set.threshold_bytes) clear.push_back(item.prefix);
+        const double slack = static_cast<double>(item.conditioned_bytes) -
+                             static_cast<double>(loop_set.threshold_bytes);
+        if (slack >= sampling_margin(packets, item.prefix, spec().sampled_levels)) {
+          clear.push_back(item.prefix);
+        }
       }
       EXPECT_FALSE(clear.empty());
       EXPECT_TRUE(harness::hhh_set_covers(batched->report(now, 0.1), clear));

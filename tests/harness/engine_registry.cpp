@@ -16,8 +16,7 @@ const std::vector<EngineCase>& conformance_engines() {
     std::vector<EngineCase> out;
     out.reserve(engine_registry().size());
     for (const auto& spec : engine_registry()) {
-      out.push_back(
-          EngineCase{spec.name, spec.make, spec.hierarchy, spec.v6_fraction, spec.sampled});
+      out.push_back(EngineCase{spec.name, spec.make, spec.hierarchy, spec.v6_fraction});
     }
     return out;
   }();

@@ -27,8 +27,6 @@ struct EngineCase {
   /// Fraction of IPv6 packets in the conformance workload (0 = pure v4,
   /// 1 = pure v6) — matches TraceConfig::v6_fraction.
   double v6_fraction = 0.0;
-  /// Ingest draws random numbers (EngineSpec::sampled).
-  bool sampled = false;
 };
 
 /// Every engine under conformance. Factories are deterministic: fixed

@@ -16,6 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -77,35 +79,87 @@ TEST(WireCompat, V1ExactSnapshotLoadsIntoConfiguredEngine) {
   EXPECT_EQ(engine.total_bytes(), 21449256u);
 }
 
+/// A report pinned item by item: (prefix, total, conditioned) rows plus
+/// the scope's total and threshold, as hhh_sets_equal compares them.
+struct PinnedItem {
+  const char* prefix;
+  std::uint64_t total_bytes;
+  std::uint64_t conditioned_bytes;
+};
+
+HhhSet pinned_set(std::uint64_t total_bytes, std::uint64_t threshold_bytes,
+                  std::initializer_list<PinnedItem> items) {
+  HhhSet set;
+  set.total_bytes = total_bytes;
+  set.threshold_bytes = threshold_bytes;
+  for (const auto& item : items) {
+    set.add(HhhItem{*PrefixKey::parse(item.prefix), item.total_bytes, item.conditioned_bytes});
+  }
+  return set;
+}
+
 TEST(WireCompat, V1RhhhSnapshotRestoresBehaviour) {
   const auto restored = harness::as_engine(wire::load_engine(fixture_bytes("v1_rhhh.snap")));
   ASSERT_NE(restored, nullptr);
   EXPECT_EQ(restored->name(), "rhhh");
 
-  // The fixture's engine drew its levels through a per-packet path that
-  // no longer exists, so a live engine fed the same stream draws other
-  // levels; only the exact totals agree. The sets are pinned to fixed
-  // golden values from the run that wrote the fixture instead.
+  // The fixture's engine drew one level per packet from its own RNG
+  // stream, which a live engine fed through add_batch no longer replays;
+  // only the exact totals still agree with one.
   RhhhEngine live(RhhhParams{.counters_per_level = 256, .seed = 913});
   live.add_batch(fixture_workload());
   EXPECT_EQ(restored->total_bytes(), live.total_bytes());
-  const auto conditioned_sum = [](const HhhSet& set) {
-    std::uint64_t sum = 0;
-    for (const auto& item : set.items()) sum += item.conditioned_bytes;
-    return sum;
-  };
-  const auto before = restored->extract(0.03);
-  EXPECT_EQ(before.size(), 22u);
-  EXPECT_EQ(conditioned_sum(before), 21702380u);
-  EXPECT_TRUE(before.contains(*PrefixKey::parse("44.141.18.0/24")));
+
+  // Both reports are pinned in full, every (prefix, total, conditioned)
+  // item: they are what a live engine reported when fed the fixture stream
+  // one packet at a time through the per-packet draw (the last build that
+  // had it), and the restored engine matched that engine exactly.
+  const HhhSet before = pinned_set(21449256u, 643478u, {
+      {"44.104.231.0/24", 806520, 806520},
+      {"23.84.251.0/24", 797800, 797800},
+      {"44.141.18.0/24", 1526440, 1526440},
+      {"44.141.168.0/24", 710900, 710900},
+      {"23.84.0.0/16", 1490300, 692500},
+      {"44.245.0.0/16", 1118480, 1118480},
+      {"44.141.0.0/16", 3027560, 790220},
+      {"57.221.0.0/16", 1154880, 1154880},
+      {"18.15.0.0/16", 644820, 644820},
+      {"47.43.0.0/16", 748780, 748780},
+      {"44.33.0.0/16", 949920, 949920},
+      {"44.66.0.0/16", 726900, 726900},
+      {"23.72.0.0/16", 862260, 862260},
+      {"44.104.0.0/16", 1857520, 1051000},
+      {"95.223.0.0/16", 819960, 819960},
+      {"95.0.0.0/8", 2168600, 1348640},
+      {"57.0.0.0/8", 2626120, 1471240},
+      {"18.0.0.0/8", 1352720, 707900},
+      {"65.0.0.0/8", 1017920, 1017920},
+      {"47.0.0.0/8", 1661280, 912500},
+      {"7.0.0.0/8", 1459360, 1459360},
+      {"23.0.0.0/8", 3736000, 1383440},
+  });
+  EXPECT_TRUE(harness::hhh_sets_equal(before, restored->extract(0.03)));
 
   // The v1 snapshot carried the sampler RNG state: continued ingestion
-  // draws the levels the writing engine would have drawn.
+  // draws the levels that live engine drew, so the report after 5,000
+  // more packets is pinned too.
   restored->add_batch(harness::TraceBuilder(78).compact_space().packets(5000));
-  const auto after = restored->extract(0.05);
-  EXPECT_EQ(after.size(), 13u);
-  EXPECT_EQ(conditioned_sum(after), 24766320u);
-  EXPECT_TRUE(after.contains(*PrefixKey::parse("0.0.0.0/0")));
+  const HhhSet after = pinned_set(25087480u, 1254374u, {
+      {"44.141.18.0/24", 1526440, 1526440},
+      {"23.84.0.0/16", 1490300, 1490300},
+      {"44.141.0.0/16", 3027560, 1501120},
+      {"44.104.0.0/16", 1857520, 1857520},
+      {"44.0.0.0/8", 7750760, 2865680},
+      {"95.0.0.0/8", 2168600, 2168600},
+      {"57.0.0.0/8", 2960080, 2960080},
+      {"18.0.0.0/8", 1352720, 1352720},
+      {"47.0.0.0/8", 1661280, 1661280},
+      {"7.0.0.0/8", 1459360, 1459360},
+      {"23.0.0.0/8", 3736000, 2245700},
+      {"98.0.0.0/8", 1387280, 1387280},
+      {"0.0.0.0/0", 24766320, 2290240},
+  });
+  EXPECT_TRUE(harness::hhh_sets_equal(after, restored->extract(0.05)));
 }
 
 // --- version 2: exact engines carried every hierarchy level -----------------

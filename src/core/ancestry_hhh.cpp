@@ -83,15 +83,8 @@ void AncestryHhhEngine::compress() {
 HhhSet AncestryHhhEngine::extract(double phi) const {
   HhhSet result;
   result.total_bytes = total_bytes_;
-  result.threshold_bytes = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(total_bytes_))));
-  const double threshold = static_cast<double>(result.threshold_bytes);
-
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
+  result.threshold_bytes = relative_threshold(phi, total_bytes_);
+  ConditionedSelection selection(result, static_cast<double>(result.threshold_bytes));
 
   // The trie state is *fragmented*: a prefix's counted mass is spread over
   // the live entries in its subtree (compression only ever moves mass from
@@ -101,7 +94,6 @@ HhhSet AncestryHhhEngine::extract(double phi) const {
   // Upper estimate: sum of f over p's subtree + eps*N. Summing deltas of
   // descendants would double-count uncertainty thousands of times over.
   const double eps_n = params_.eps * static_cast<double>(total_bytes_);
-  std::vector<std::vector<std::pair<PrefixKey, double>>> upper(levels_.size());
   FlatHashMap<std::uint64_t, double> carry(256);  // subtree f-mass flowing upward
   for (std::size_t level = 0; level < levels_.size(); ++level) {
     FlatHashMap<std::uint64_t, double> f_sum(256);
@@ -114,31 +106,9 @@ HhhSet AncestryHhhEngine::extract(double phi) const {
     const bool has_parent = level + 1 < levels_.size();
     const unsigned parent_len = has_parent ? params_.hierarchy.length_at(level + 1) : 0;
     f_sum.for_each([&](std::uint64_t key, double& mass) {
-      const PrefixKey prefix = V4Domain::prefix(key);
-      upper[level].emplace_back(prefix, mass + eps_n);
+      selection.offer(V4Domain::prefix(key), mass + eps_n);
       if (has_parent) carry[V4Domain::truncate(key, parent_len)] += mass;
     });
-  }
-
-  for (std::size_t level = 0; level < levels_.size(); ++level) {
-    for (const auto& [prefix, full] : upper[level]) {
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(full),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
-    }
   }
   return result;
 }

@@ -45,7 +45,8 @@ class AncestryHhhEngine final : public HhhEngine {
   void add_batch(std::span<const PacketRecord> packets) override;
   /// Always IPv4.
   AddressFamily family() const override { return AddressFamily::kIpv4; }
-  /// Bottom-up conditioned-count extraction over (f + eps*N) upper bounds.
+  /// (f + eps*N) upper bounds offered to `ConditionedSelection`, level by
+  /// level from the leaves.
   HhhSet extract(double phi) const override;
   /// Drop the trie and restart the compression cadence.
   void reset() override;

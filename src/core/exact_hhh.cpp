@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cmath>
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
@@ -119,8 +118,7 @@ std::vector<HhhSet> extract_hhh_multi_relative(const BasicLevelAggregates<D>& ag
   std::vector<std::uint64_t> thresholds;
   thresholds.reserve(phis.size());
   for (const double phi : phis) {
-    thresholds.push_back(
-        static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(agg.total_bytes()))));
+    thresholds.push_back(relative_threshold(phi, agg.total_bytes()));
   }
   return extract_hhh_multi(agg, thresholds);
 }
@@ -133,9 +131,7 @@ HhhSet extract_hhh(const BasicLevelAggregates<D>& agg, std::uint64_t threshold_b
 
 template <typename D>
 HhhSet extract_hhh_relative(const BasicLevelAggregates<D>& agg, double phi) {
-  const auto threshold =
-      static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(agg.total_bytes())));
-  return extract_hhh(agg, threshold);
+  return extract_hhh(agg, relative_threshold(phi, agg.total_bytes()));
 }
 
 HhhSet exact_hhh_of(std::span<const PacketRecord> packets, const Hierarchy& hierarchy,

@@ -40,6 +40,13 @@ std::string HhhSet::to_string() const {
   return out;
 }
 
+void ConditionedSelection::report(PrefixKey prefix, double full, double conditioned) {
+  out_.add(HhhItem{prefix, static_cast<std::uint64_t>(full),
+                   static_cast<std::uint64_t>(conditioned)});
+  std::erase_if(tops_, [&](const Top& top) { return prefix.is_ancestor_of(top.prefix); });
+  tops_.push_back(Top{prefix, full});
+}
+
 void PrefixUnion::add(const std::vector<PrefixKey>& prefixes) {
   values_.insert(values_.end(), prefixes.begin(), prefixes.end());
   dirty_ = true;

@@ -9,6 +9,8 @@
 /// value is what crossed the threshold.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -67,6 +69,65 @@ class HhhSet {
 
  private:
   std::vector<HhhItem> items_;
+};
+
+/// The absolute threshold of a relative one over a disjoint scope:
+/// T = max(1, ceil(phi * total_bytes)). The exact extraction and every
+/// disjoint-window sketch engine apply this one rule.
+inline std::uint64_t relative_threshold(double phi, std::uint64_t total_bytes) {
+  return std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(total_bytes))));
+}
+
+/// The output procedure every sketch summary shares: HSS's bottom-up
+/// conditioned-count selection (arXiv 1102.5540), which RHHH reuses over
+/// scaled estimates (arXiv 1707.06778). Each summary enumerates its own
+/// candidates with its own full-volume estimate and offers them here; a
+/// candidate is reported when its estimate, minus the estimates of its
+/// closest reported HHH descendants, reaches the threshold.
+///
+/// Offer candidates most-specific level first (the order `Hierarchy`
+/// lists its levels in), each prefix at most once. Every reported prefix
+/// is then at least as long as the candidate, so a reported descendant's
+/// closest reported ancestor is the candidate exactly when it has no
+/// reported ancestor at all: the discount is the sum over `tops_`, the
+/// reported HHHs no other reported HHH contains, taken in report order.
+///
+/// The threshold is a byte volume >= 1. Disjoint-window summaries pass
+/// `relative_threshold`; the windowed detectors (Memento, TDBF) pass the
+/// unrounded max(phi * W, 1) of their sliding or decayed volume W.
+class ConditionedSelection {
+ public:
+  /// Select into `out` (items are appended in report order) at
+  /// `threshold` bytes.
+  ConditionedSelection(HhhSet& out, double threshold) : out_(out), threshold_(threshold) {}
+
+  /// Offer `prefix` with full (subtree) volume estimate `full`; report it
+  /// when its conditioned volume reaches the threshold. Inline: summaries
+  /// offer every candidate they hold, and few are reported.
+  void offer(PrefixKey prefix, double full) {
+    // A reported HHH's full volume is >= its conditioned volume >= the
+    // threshold >= 1, so every discount is positive: a candidate whose
+    // full volume is short of the threshold can never reach it.
+    if (full < threshold_) return;
+    double conditioned = full;
+    for (const Top& top : tops_) {
+      if (prefix.is_ancestor_of(top.prefix)) conditioned -= top.full;
+    }
+    if (conditioned >= threshold_) report(prefix, full, conditioned);
+  }
+
+ private:
+  struct Top {
+    PrefixKey prefix;
+    double full;
+  };
+
+  void report(PrefixKey prefix, double full, double conditioned);
+
+  HhhSet& out_;
+  double threshold_;
+  std::vector<Top> tops_;  ///< reported HHHs with no reported ancestor, in report order
 };
 
 /// Sorted-unique union of prefix sets (accumulator for per-window reports).

@@ -118,42 +118,14 @@ HhhSet BasicMementoHhhDetector<D>::report(TimePoint now, double phi) {
   const double threshold = std::max(phi * window, 1.0);
   result.threshold_bytes = static_cast<std::uint64_t>(std::ceil(threshold));
   const double scale = static_cast<double>(levels_.size());
-
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
-
-  for (std::size_t level = 0; level < levels_.size(); ++level) {
+  ConditionedSelection selection(result, threshold);
+  for (auto& level : levels_) {
     // Candidates well below the threshold cannot become HHHs (conditioned
     // counts only shrink), so enumerate at half the threshold — in summary
     // units, i.e. divided by the sampling scale — for margin against
     // estimation error.
-    const auto candidates =
-        levels_[level].candidates_at_least(threshold * 0.5 / scale, now);
-    for (const auto& candidate : candidates) {
-      const PrefixKey prefix = D::prefix(candidate.key);
-      const double full = candidate.estimate * scale;
-
-      // Discount every selected HHH descendant whose closest selected
-      // ancestor (among selected ∪ {prefix}) is `prefix` itself.
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(full),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
+    for (const auto& candidate : level.candidates_at_least(threshold * 0.5 / scale, now)) {
+      selection.offer(D::prefix(candidate.key), candidate.estimate * scale);
     }
   }
   return result;

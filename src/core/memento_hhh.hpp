@@ -7,11 +7,11 @@
 /// lifts Space-Saving (core/rhhh.hpp): one windowed summary per hierarchy
 /// level, ONE level sampled uniformly per packet (O(1) per packet
 /// regardless of hierarchy depth — H-Memento's data-plane trick), level
-/// estimates scaled by H at query time, and bottom-up conditioned-count
-/// extraction across levels. Window totals stay exact: every packet lands
-/// in a per-frame byte-total ring regardless of which level its update
-/// sampled, so phi-relative thresholds are computed against the true
-/// trailing volume.
+/// estimates scaled by H at query time, and the shared conditioned-count
+/// selection across levels (`ConditionedSelection`, core/hhh_types.hpp).
+/// Window totals stay exact: every packet lands in a per-frame byte-total
+/// ring regardless of which level its update sampled, so phi-relative
+/// thresholds are computed against the true trailing volume.
 ///
 /// Against ref [1]'s windowed Space-Saving lifted to every level (O(H)
 /// per-packet updates, each scanning a ring of per-frame summaries) this

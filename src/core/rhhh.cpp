@@ -1,8 +1,6 @@
 #include "core/rhhh.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 
 #include "wire/codec.hpp"
@@ -122,44 +120,13 @@ template <typename D>
 HhhSet BasicRhhhEngine<D>::extract(double phi) const {
   HhhSet result;
   result.total_bytes = total_bytes_;
-  result.threshold_bytes = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(total_bytes_))));
-  const double threshold = static_cast<double>(result.threshold_bytes);
+  result.threshold_bytes = relative_threshold(phi, total_bytes_);
   const double scale =
       params_.update_all_levels ? 1.0 : static_cast<double>(levels_.size());
-
-  // Selected HHHs so far (levels below the current one), with their full
-  // scaled estimates; used for closest-ancestor discounting.
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
-
-  for (std::size_t level = 0; level < levels_.size(); ++level) {
-    for (const auto& entry : levels_[level].entries()) {
-      const PrefixKey prefix = D::prefix(entry.key);
-      const double full = entry.count * scale;
-
-      // Discount every selected HHH descendant whose closest selected
-      // ancestor (among selected ∪ {prefix}) is `prefix` itself.
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(full),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
+  ConditionedSelection selection(result, static_cast<double>(result.threshold_bytes));
+  for (const auto& level : levels_) {
+    for (const auto& entry : level.entries()) {
+      selection.offer(D::prefix(entry.key), entry.count * scale);
     }
   }
   return result;

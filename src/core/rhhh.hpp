@@ -9,10 +9,9 @@
 /// O(1) per packet regardless of hierarchy depth. Estimates are scaled by
 /// the number of levels H (each level sees ~1/H of the stream's weight).
 ///
-/// Output: bottom-up conditioned-count extraction. A prefix's conditioned
-/// estimate subtracts the full (scaled) estimates of already-selected HHH
-/// descendants whose *closest* selected ancestor is the prefix itself —
-/// the same discounting as the exact definition, on estimated volumes
+/// Output: every Space-Saving entry, scaled by H, offered to the shared
+/// conditioned-count selection (`ConditionedSelection`, core/hhh_types.hpp)
+/// — the same discounting as the exact definition, on estimated volumes
 /// (the practical Z=0 variant of the paper's confidence-interval output).
 ///
 /// The `update_all_levels` flag turns the sampler off and feeds every
@@ -61,7 +60,7 @@ class BasicRhhhEngine final : public HhhEngine {
   void add_batch(std::span<const PacketRecord> packets) override;
   /// The domain's family.
   AddressFamily family() const override { return D::kFamily; }
-  /// Bottom-up conditioned-count extraction over scaled estimates.
+  /// Scaled Space-Saving estimates offered to `ConditionedSelection`.
   HhhSet extract(double phi) const override;
   /// Clear every summary; the RNG sequence deliberately continues.
   void reset() override;

@@ -82,36 +82,12 @@ HhhSet TimeDecayingHhhDetector::report(TimePoint now, double phi) {
   const double read_factor =
       std::exp2(-static_cast<double>((now - last_rescale_).ns()) * inv_half_life_ns_);
 
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
-
+  ConditionedSelection selection(result, threshold);
   for (std::size_t level = 0; level < filters_.size(); ++level) {
     for (const auto& entry : candidates_[level].entries()) {
-      const PrefixKey prefix = V4Domain::prefix(entry.key);
       const double ss_estimate = entry.count * read_factor;
       const double bf_estimate = filters_[level].estimate(entry.key, now);
-      const double full = std::min(ss_estimate, bf_estimate);
-
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(full),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
+      selection.offer(V4Domain::prefix(entry.key), std::min(ss_estimate, bf_estimate));
     }
   }
   return result;

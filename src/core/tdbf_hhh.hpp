@@ -14,8 +14,9 @@
 /// HHHs of the exponentially weighted traffic (half-life tau), with
 /// per-candidate estimates refined as min(space-saving, TDBF) — both are
 /// overestimates of the true decayed volume, so the min is the tighter
-/// overestimate. Extraction applies the same bottom-up conditioned-count
-/// discounting as the exact engine.
+/// overestimate. Extraction offers those estimates to the conditioned-count
+/// selection every sketch summary shares (`ConditionedSelection`,
+/// core/hhh_types.hpp), against the unrounded threshold max(phi * total, 1).
 ///
 /// Window equivalence: a steady rate observed through a disjoint window W
 /// accumulates r*W; through exponential decay it accumulates r*tau_eff with

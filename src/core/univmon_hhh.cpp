@@ -1,7 +1,6 @@
 #include "core/univmon_hhh.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "net/key_domain.hpp"
@@ -54,41 +53,15 @@ void UnivmonHhhEngine::add_batch(std::span<const PacketRecord> packets) {
 HhhSet UnivmonHhhEngine::extract(double phi) const {
   HhhSet result;
   result.total_bytes = total_bytes_;
-  result.threshold_bytes = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(phi * static_cast<double>(total_bytes_))));
+  result.threshold_bytes = relative_threshold(phi, total_bytes_);
   const double threshold = static_cast<double>(result.threshold_bytes);
-
-  struct Selected {
-    PrefixKey prefix;
-    double full_estimate;
-  };
-  std::vector<Selected> selected;
-
-  for (std::size_t level = 0; level < sketches_.size(); ++level) {
+  ConditionedSelection selection(result, threshold);
+  for (const auto& sketch : sketches_) {
     // Enumerate candidates below the threshold too (half, for estimation
     // slack), then apply the conditioned rule.
-    const auto candidates =
-        sketches_[level].heavy_hitters(static_cast<std::int64_t>(threshold / 2.0));
-    for (const auto& candidate : candidates) {
-      const PrefixKey prefix = V4Domain::prefix(candidate.key);
-      const double full = static_cast<double>(candidate.estimate);
-
-      double conditioned = full;
-      for (const auto& d : selected) {
-        if (!prefix.is_ancestor_of(d.prefix)) continue;
-        const bool closest = std::none_of(
-            selected.begin(), selected.end(), [&](const Selected& between) {
-              return between.prefix.length() > prefix.length() &&
-                     between.prefix.length() < d.prefix.length() &&
-                     between.prefix.is_ancestor_of(d.prefix);
-            });
-        if (closest) conditioned -= d.full_estimate;
-      }
-      if (conditioned >= threshold) {
-        result.add(HhhItem{prefix, static_cast<std::uint64_t>(std::max(0.0, full)),
-                           static_cast<std::uint64_t>(std::max(0.0, conditioned))});
-        selected.push_back(Selected{prefix, full});
-      }
+    for (const auto& candidate :
+         sketch.heavy_hitters(static_cast<std::int64_t>(threshold / 2.0))) {
+      selection.offer(V4Domain::prefix(candidate.key), static_cast<double>(candidate.estimate));
     }
   }
   return result;

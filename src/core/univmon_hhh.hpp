@@ -1,8 +1,9 @@
 /// \file
 /// UnivMon-backed HHH engine — the paper's reference [4] deployed the way
 /// a UnivMon-equipped switch would compute HHHs per window: one universal
-/// sketch per hierarchy level, heavy-hitter queries per level, conditioned
-/// discounting across levels (same extraction convention as RHHH).
+/// sketch per hierarchy level, heavy-hitter queries per level, and the
+/// conditioned-count selection every sketch summary shares
+/// (`ConditionedSelection`, core/hhh_types.hpp).
 ///
 /// Included as the third sketch family in the windowed-engine comparison
 /// (space-saving-based RHHH, lossy-counting-based ancestry, count-sketch-
@@ -42,7 +43,7 @@ class UnivmonHhhEngine final : public HhhEngine {
   void add_batch(std::span<const PacketRecord> packets) override;
   /// Always IPv4.
   AddressFamily family() const override { return AddressFamily::kIpv4; }
-  /// Per-level heavy-hitter queries + conditioned discounting.
+  /// Per-level heavy-hitter queries offered to `ConditionedSelection`.
   HhhSet extract(double phi) const override;
   /// Rebuild every sketch (window boundary).
   void reset() override;

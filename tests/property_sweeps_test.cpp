@@ -9,6 +9,7 @@
 #include <tuple>
 
 #include "core/exact_hhh.hpp"
+#include "core/hhh_types.hpp"
 #include "core/level_aggregates.hpp"
 #include "core/exact_engine.hpp"
 #include "core/prefix_trie.hpp"
@@ -129,6 +130,41 @@ INSTANTIATE_TEST_SUITE_P(Geometry, MementoSummarySweep,
 
 // --- Exact extraction invariants across hierarchies -------------------------
 
+// The exact total of every prefix at every level of a hierarchy, kept
+// apart from LevelAggregates.
+class LevelTotals {
+ public:
+  explicit LevelTotals(const Hierarchy& hierarchy)
+      : hierarchy_(hierarchy), levels_(hierarchy.levels()) {}
+
+  void add(IpAddress a, std::uint64_t bytes) {
+    total_ += bytes;
+    for (std::size_t level = 0; level < levels_.size(); ++level) {
+      levels_[level][PrefixKey(a, hierarchy_.length_at(level))] += bytes;
+    }
+  }
+
+  // The sketches' shared output rule fed exact totals: levels from the
+  // leaves, ascending prefix within a level.
+  HhhSet select(std::uint64_t threshold) const {
+    HhhSet out;
+    out.total_bytes = total_;
+    out.threshold_bytes = threshold;
+    ConditionedSelection selection(out, static_cast<double>(threshold));
+    for (const auto& level : levels_) {
+      for (const auto& [prefix, bytes] : level) {
+        selection.offer(prefix, static_cast<double>(bytes));
+      }
+    }
+    return out;
+  }
+
+ private:
+  Hierarchy hierarchy_;
+  std::vector<std::map<PrefixKey, std::uint64_t>> levels_;
+  std::uint64_t total_ = 0;
+};
+
 class HierarchySweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(HierarchySweep, ConditionedCountsPartitionTraffic) {
@@ -141,20 +177,27 @@ TEST_P(HierarchySweep, ConditionedCountsPartitionTraffic) {
                                            : Hierarchy({32, 20, 10, 0});
   Rng rng(0x41E0 + static_cast<std::uint64_t>(which));
   LevelAggregates agg(hierarchy);
+  LevelTotals totals(hierarchy);
   for (int i = 0; i < 3000; ++i) {
     const Ipv4Address a(static_cast<std::uint32_t>(rng.below(50)) << 24 |
                         static_cast<std::uint32_t>(rng.below(16)) << 12 |
                         static_cast<std::uint32_t>(rng.below(64)));
-    agg.add(a, 1 + rng.below(1000));
+    const std::uint64_t bytes = 1 + rng.below(1000);
+    agg.add(a, bytes);
+    totals.add(a, bytes);
   }
 
   const auto all = extract_hhh(agg, 1);
   std::uint64_t claimed = 0;
   for (const auto& item : all.items()) claimed += item.conditioned_bytes;
   EXPECT_EQ(claimed, agg.total_bytes()) << "T=1 must partition all bytes";
+  // ConditionedSelection over exact totals is the exact extraction.
+  EXPECT_TRUE(harness::hhh_sets_equal(all, totals.select(1)));
 
   for (const std::uint64_t threshold : {agg.total_bytes() / 50, agg.total_bytes() / 10}) {
     const auto set = extract_hhh(agg, threshold);
+    EXPECT_TRUE(harness::hhh_sets_equal(set, totals.select(threshold)))
+        << "threshold " << threshold;
     std::uint64_t sum = 0;
     for (const auto& item : set.items()) {
       sum += item.conditioned_bytes;
@@ -195,6 +238,7 @@ TEST_P(V6HierarchySweep, LevelCountersAgreeWithTrieOnRandomStreams) {
   // Clustered stream: a few hot /32-ish blocks, random structure below.
   LevelAggregatesV6 agg(hierarchy);
   PrefixTrie trie(AddressFamily::kIpv6);
+  LevelTotals totals(hierarchy);
   for (int i = 0; i < 4000; ++i) {
     const std::uint64_t block = rng.below(6);
     const std::uint64_t mid = rng.below(32);
@@ -205,18 +249,23 @@ TEST_P(V6HierarchySweep, LevelCountersAgreeWithTrieOnRandomStreams) {
     const std::uint64_t bytes = 1 + rng.below(1200);
     agg.add(a, bytes);
     trie.add(a, bytes);
+    totals.add(a, bytes);
   }
   ASSERT_EQ(agg.total_bytes(), trie.total_bytes());
 
   for (const std::uint64_t divisor : {1u, 40u, 12u}) {
     const std::uint64_t threshold = std::max<std::uint64_t>(1, agg.total_bytes() / divisor);
-    EXPECT_TRUE(harness::hhh_sets_equal(extract_hhh(agg, threshold),
-                                        trie.extract(hierarchy, threshold)))
+    const auto set = extract_hhh(agg, threshold);
+    EXPECT_TRUE(harness::hhh_sets_equal(set, trie.extract(hierarchy, threshold)))
+        << "threshold " << threshold;
+    // ConditionedSelection over exact totals is the exact extraction.
+    EXPECT_TRUE(harness::hhh_sets_equal(set, totals.select(threshold)))
         << "threshold " << threshold;
   }
 
   // T=1 partitions every byte, exactly as in the v4 domain.
   const auto all = extract_hhh(agg, 1);
+  EXPECT_TRUE(harness::hhh_sets_equal(all, totals.select(1)));
   std::uint64_t claimed = 0;
   for (const auto& item : all.items()) claimed += item.conditioned_bytes;
   EXPECT_EQ(claimed, agg.total_bytes());

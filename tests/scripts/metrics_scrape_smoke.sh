@@ -19,7 +19,24 @@ LIVE=$2
 MV=$3
 
 WORK=$(mktemp -d)
-trap 'rm -rf "$WORK"' EXIT INT TERM
+# On failure, stop what still runs and show the daemon's and the
+# vantages' side before cleanup: several failure paths below print only
+# their own message.
+on_exit() {
+    status=$?
+    if [ "$status" -ne 0 ]; then
+        kill ${CPID:-} ${VPIDS:-} 2>/dev/null || true
+        for log in collectord.err collectord.out vantage0.err vantage1.err; do
+            [ -f "$WORK/$log" ] || continue
+            echo "--- $log" >&2
+            sed "s/^/  /" "$WORK/$log" >&2
+        done
+    fi
+    rm -rf "$WORK"
+    exit "$status"
+}
+trap on_exit EXIT
+trap 'exit 1' INT TERM
 SOCK=$WORK/c.sock
 
 "$COLLECTORD" --listen=unix:"$SOCK" --metrics=tcp:127.0.0.1:0 --print-port \
@@ -73,7 +90,8 @@ fi
 VPIDS=""
 for v in 0 1; do
     "$LIVE" --trace="$MV/vantage$v.hht" --window=60 --pps=100000 \
-        --connect=unix:"$SOCK" --vantage="v4-$v" --retry=30 &
+        --connect=unix:"$SOCK" --vantage="v4-$v" --retry=30 \
+        2> "$WORK/vantage$v.err" &
     VPIDS="$VPIDS $!"
 done
 for pid in $VPIDS; do

@@ -41,6 +41,7 @@
 #include "sketch/tdbf.hpp"
 #include "sketch/univmon.hpp"
 #include "trace/synthetic_trace.hpp"
+#include "util/simd.hpp"
 #include "util/strings.hpp"
 #include "wire/snapshot.hpp"
 
@@ -178,8 +179,11 @@ double measure_crc32_mbps(std::size_t buffer_bytes, const ThroughputOptions& opt
   }
   std::sort(rates.begin(), rates.end());
   const double median = rates.empty() ? 0.0 : rates[rates.size() / 2];
-  std::printf("wire_crc32          %zu B buffer: %8.1f MB/s (chained crc %08x)\n", buffer_bytes,
-              median, crc);
+  std::printf("wire_crc32          %zu B buffer: %8.1f MB/s median of %zu (min %.1f, max %.1f; "
+              "%s; chained crc %08x)\n",
+              buffer_bytes, median, rates.size(), rates.empty() ? 0.0 : rates.front(),
+              rates.empty() ? 0.0 : rates.back(),
+              simd::have_pclmul() ? "pclmul" : "slice-by-8", crc);
   return median;
 }
 

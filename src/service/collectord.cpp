@@ -685,28 +685,27 @@ void CollectorService::publish_epoch(
 void CollectorService::write_checkpoint() {
   if (options_.checkpoint_path.empty()) return;
   settle_absorb();
-  std::vector<std::uint8_t> payload;
-  wire::Writer w(payload);
-  w.u16(kCheckpointVersion);
-  w.i64(options_.window_ns);
-  w.i64(options_.grace_ns);
-  w.u64(options_.expected_vantages);
-  w.f64(options_.thresholds.phi);
-  w.f64(options_.thresholds.threshold_bytes);
-  cumulative_.save_state(w);
-  w.u64(incorporated_.size());
-  for (const auto& [name, epochs] : incorporated_) {
-    w.str(name);
-    epochs.save(w);
-  }
-  aligner_.save_state(w);
-  w.u64(ctr_.frames_received->value());
-  w.u64(ctr_.epochs_closed->value());
-  w.u64(ctr_.epochs_incomplete->value());
-  w.u64(ctr_.late_folds->value());
-  w.u64(ctr_.duplicates_dropped->value());
   const auto frame =
-      wire::build_frame(wire::SnapshotKind::kCollectorCheckpoint, payload);
+      wire::build_frame(wire::SnapshotKind::kCollectorCheckpoint, [&](wire::Writer& w) {
+        w.u16(kCheckpointVersion);
+        w.i64(options_.window_ns);
+        w.i64(options_.grace_ns);
+        w.u64(options_.expected_vantages);
+        w.f64(options_.thresholds.phi);
+        w.f64(options_.thresholds.threshold_bytes);
+        cumulative_.save_state(w);
+        w.u64(incorporated_.size());
+        for (const auto& [name, epochs] : incorporated_) {
+          w.str(name);
+          epochs.save(w);
+        }
+        aligner_.save_state(w);
+        w.u64(ctr_.frames_received->value());
+        w.u64(ctr_.epochs_closed->value());
+        w.u64(ctr_.epochs_incomplete->value());
+        w.u64(ctr_.late_folds->value());
+        w.u64(ctr_.duplicates_dropped->value());
+      });
   wire::write_file(options_.checkpoint_path, frame);
 }
 

@@ -26,12 +26,11 @@ void require_proto(wire::Reader& r) {
 }  // namespace
 
 std::vector<std::uint8_t> build_hello(const Hello& hello) {
-  std::vector<std::uint8_t> payload;
-  wire::Writer w(payload);
-  w.u16(kStreamProtoVersion);
-  w.str(hello.vantage);
-  w.i64(hello.window_ns);
-  return wire::build_frame(wire::SnapshotKind::kStreamHello, payload);
+  return wire::build_frame(wire::SnapshotKind::kStreamHello, [&](wire::Writer& w) {
+    w.u16(kStreamProtoVersion);
+    w.str(hello.vantage);
+    w.i64(hello.window_ns);
+  });
 }
 
 Hello parse_hello(const wire::FrameView& frame) {
@@ -50,14 +49,18 @@ Hello parse_hello(const wire::FrameView& frame) {
 std::vector<std::uint8_t> build_epoch(std::int64_t start_ns, std::int64_t end_ns,
                                       std::uint64_t seq,
                                       std::span<const std::uint8_t> inner_frame) {
-  std::vector<std::uint8_t> payload;
-  wire::Writer w(payload);
-  w.u16(kStreamProtoVersion);
-  w.i64(start_ns);
-  w.i64(end_ns);
-  w.u64(seq);
-  w.raw(inner_frame.data(), inner_frame.size());
-  return wire::build_frame(wire::SnapshotKind::kEpochFrame, payload);
+  // proto + start + end + seq ahead of the embedded frame.
+  constexpr std::size_t kEnvelopeFieldBytes = 2 + 8 + 8 + 8;
+  return wire::build_frame(
+      wire::SnapshotKind::kEpochFrame,
+      [&](wire::Writer& w) {
+        w.u16(kStreamProtoVersion);
+        w.i64(start_ns);
+        w.i64(end_ns);
+        w.u64(seq);
+        w.raw(inner_frame.data(), inner_frame.size());
+      },
+      kEnvelopeFieldBytes + inner_frame.size());
 }
 
 EpochFrame parse_epoch(const wire::FrameView& frame) {
@@ -81,11 +84,10 @@ EpochFrame parse_epoch(const wire::FrameView& frame) {
 }
 
 std::vector<std::uint8_t> build_bye(const Bye& bye) {
-  std::vector<std::uint8_t> payload;
-  wire::Writer w(payload);
-  w.u16(kStreamProtoVersion);
-  w.u64(bye.frames_sent);
-  return wire::build_frame(wire::SnapshotKind::kStreamBye, payload);
+  return wire::build_frame(wire::SnapshotKind::kStreamBye, [&](wire::Writer& w) {
+    w.u16(kStreamProtoVersion);
+    w.u64(bye.frames_sent);
+  });
 }
 
 Bye parse_bye(const wire::FrameView& frame) {

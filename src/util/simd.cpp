@@ -109,6 +109,76 @@ __attribute__((target("avx2"))) void shard_range_batch_avx2(const std::uint64_t*
   }
 }
 
+// CRC-32 by carry-less-multiply folding (Gopal et al., "Fast CRC
+// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel
+// 2009), in the bit-reflected domain of poly 0xEDB88320. Each constant is
+// a power of x mod P picked for the distance it folds across (512 bits for
+// the four lanes, 128 for one lane, then 64), bit-reflected, as the paper
+// tabulates them. A 128-bit accumulator folds forward by multiplying its
+// low and high halves by a constant pair and xoring in the data that far
+// ahead.
+alignas(16) constexpr std::uint64_t kCrcFold512[2] = {0x0154442BD4, 0x01C6E41596};
+alignas(16) constexpr std::uint64_t kCrcFold128[2] = {0x01751997D0, 0x00CCAA009E};
+alignas(16) constexpr std::uint64_t kCrcFold64[2] = {0x0163CD6124, 0};
+// Barrett reduction: P' (the polynomial, reflected) and mu = x^64 / P.
+alignas(16) constexpr std::uint64_t kCrcBarrett[2] = {0x01DB710641, 0x01F7011641};
+
+__attribute__((target("pclmul,sse4.1"))) inline __m128i load128(const std::uint64_t* k) noexcept {
+  return _mm_load_si128(reinterpret_cast<const __m128i*>(k));
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline __m128i loadu128(const std::uint8_t* p) noexcept {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// acc folded forward by the distance `k` encodes, xored with `next`.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold128(__m128i acc, __m128i k,
+                                                                __m128i next) noexcept {
+  const __m128i lo = _mm_clmulepi64_si128(acc, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(acc, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(lo, hi), next);
+}
+
+/// The CRC register `crc` (pre-inverted) advanced over p[0, len); len is a
+/// multiple of 16 and at least 64.
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(std::uint32_t crc,
+                                                                   const std::uint8_t* p,
+                                                                   std::size_t len) noexcept {
+  // Four independent accumulators hide the multiplier's latency.
+  __m128i x0 = _mm_xor_si128(loadu128(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x1 = loadu128(p + 16);
+  __m128i x2 = loadu128(p + 32);
+  __m128i x3 = loadu128(p + 48);
+  p += 64;
+  len -= 64;
+  const __m128i k512 = load128(kCrcFold512);
+  for (; len >= 64; p += 64, len -= 64) {
+    x0 = fold128(x0, k512, loadu128(p));
+    x1 = fold128(x1, k512, loadu128(p + 16));
+    x2 = fold128(x2, k512, loadu128(p + 32));
+    x3 = fold128(x3, k512, loadu128(p + 48));
+  }
+
+  // Fold the four lanes into one, then the remaining 16-byte blocks.
+  const __m128i k128 = load128(kCrcFold128);
+  __m128i x = fold128(x0, k128, x1);
+  x = fold128(x, k128, x2);
+  x = fold128(x, k128, x3);
+  for (; len >= 16; p += 16, len -= 16) x = fold128(x, k128, loadu128(p));
+
+  // 128 -> 64 bits, then 64 -> 32 significant bits.
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k128, 0x10));
+  x = _mm_xor_si128(_mm_srli_si128(x, 4),
+                    _mm_clmulepi64_si128(_mm_and_si128(x, low32), load128(kCrcFold64), 0x00));
+
+  // Barrett-reduce to the 32-bit remainder.
+  const __m128i barrett = load128(kCrcBarrett);
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), barrett, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x, t), 1));
+}
+
 }  // namespace
 #endif  // HHH_SIMD_X86
 
@@ -122,6 +192,32 @@ bool have_avx2() noexcept {
 #else
   return false;
 #endif
+}
+
+bool have_pclmul() noexcept {
+#ifdef HHH_SIMD_X86
+  static const bool enabled = std::getenv("HHH_NO_SIMD") == nullptr &&
+                              __builtin_cpu_supports("pclmul") != 0 &&
+                              __builtin_cpu_supports("sse4.1") != 0;
+  return enabled;
+#else
+  return false;
+#endif
+}
+
+std::size_t crc32_fold(std::uint32_t& crc, const std::uint8_t* data, std::size_t len) noexcept {
+#ifdef HHH_SIMD_X86
+  if (len >= 64 && have_pclmul()) {
+    const std::size_t body = len & ~std::size_t{15};
+    crc = crc32_clmul(crc, data, body);
+    return body;
+  }
+#else
+  (void)crc;
+  (void)data;
+  (void)len;
+#endif
+  return 0;
 }
 
 void mix64_batch(const std::uint64_t* in, std::uint64_t* out, std::size_t n) noexcept {

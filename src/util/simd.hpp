@@ -16,6 +16,13 @@
 // the specification: the dispatching entry points are bit-identical to
 // the `scalar::` versions on every input, which tests/util_simd_test.cpp
 // pins on random batches. Non-x86 builds compile the scalar path only.
+//
+// One more kernel serves the wire layer: crc32_fold, the PCLMULQDQ
+// folding body of wire::crc32. Its specification and fallback is the
+// slice-by-8 table loop in wire::crc32 itself, which
+// tests/wire_snapshot_test.cpp pins against a bytewise CRC-32 on both
+// dispatch paths. HHH_NO_SIMD set in the environment forces every
+// fallback.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +32,17 @@ namespace hhh::simd {
 
 /// True when the AVX2 kernels are selected on this CPU (cached cpuid).
 bool have_avx2() noexcept;
+
+/// True when the PCLMULQDQ CRC-32 kernel is selected on this CPU (cached
+/// cpuid; needs PCLMUL and SSE4.1).
+bool have_pclmul() noexcept;
+
+/// Advance a CRC-32 register (reflected poly 0xEDB88320, held inverted as
+/// wire::crc32 holds it) over the longest prefix of `data` whose length
+/// is a multiple of 16, by carry-less-multiply folding, and return that
+/// prefix's length. Returns 0 and leaves `crc` alone when `len < 64` or
+/// the kernel is not selected: the caller's table loop covers the rest.
+std::size_t crc32_fold(std::uint32_t& crc, const std::uint8_t* data, std::size_t len) noexcept;
 
 /// out[i] = mix64(in[i]) for i in [0, n). In-place (out == in) allowed.
 void mix64_batch(const std::uint64_t* in, std::uint64_t* out, std::size_t n) noexcept;

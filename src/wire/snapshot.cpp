@@ -73,17 +73,29 @@ FrameView parse_header(std::span<const std::uint8_t> buffer) {
 }  // namespace
 
 std::vector<std::uint8_t> build_frame(SnapshotKind kind,
-                                      std::span<const std::uint8_t> payload) {
+                                      const std::function<void(Writer&)>& write_payload,
+                                      std::size_t payload_hint) {
   std::vector<std::uint8_t> out;
-  out.reserve(kFrameHeaderBytes + payload.size() + kFrameCrcBytes);
+  out.reserve(kFrameHeaderBytes + payload_hint + kFrameCrcBytes);
   Writer w(out);
   w.raw(kSnapshotMagic, sizeof(kSnapshotMagic));
   w.u16(kSnapshotVersion);
   w.u16(static_cast<std::uint16_t>(kind));
-  w.u64(payload.size());
-  w.raw(payload.data(), payload.size());
+  w.u64(0);  // the payload length, filled in once the payload is written
+  write_payload(w);
+  const std::uint64_t payload_len = out.size() - kFrameHeaderBytes;
+  for (std::size_t i = 0; i < sizeof(payload_len); ++i) {
+    out[kFrameHeaderBytes - sizeof(payload_len) + i] =
+        static_cast<std::uint8_t>(payload_len >> (8 * i));
+  }
   w.u32(crc32(out.data(), out.size()));
   return out;
+}
+
+std::vector<std::uint8_t> build_frame(SnapshotKind kind,
+                                      std::span<const std::uint8_t> payload) {
+  return build_frame(
+      kind, [&](Writer& w) { w.raw(payload.data(), payload.size()); }, payload.size());
 }
 
 FrameView parse_frame(std::span<const std::uint8_t> buffer) {
@@ -153,11 +165,8 @@ SnapshotKind engine_snapshot_kind(const HhhSummary& summary) {
 }
 
 std::vector<std::uint8_t> save_engine(const HhhSummary& summary) {
-  const SnapshotKind kind = engine_snapshot_kind(summary);
-  std::vector<std::uint8_t> payload;
-  Writer w(payload);
-  summary.save_state(w);
-  return build_frame(kind, payload);
+  return build_frame(engine_snapshot_kind(summary),
+                     [&](Writer& w) { summary.save_state(w); });
 }
 
 std::unique_ptr<HhhSummary> load_engine(const FrameView& frame) {

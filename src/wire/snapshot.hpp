@@ -31,6 +31,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -89,6 +90,14 @@ struct FrameView {
   std::size_t frame_size = 0;               ///< total frame bytes consumed
   std::uint16_t version = kSnapshotVersion; ///< the frame's declared version
 };
+
+/// Build one frame in one buffer: the header (magic, version, kind,
+/// length), then the payload that `write_payload` appends in place
+/// through the Writer it is handed, then the CRC. `payload_hint` is the
+/// payload size to reserve room for, when the caller knows it.
+std::vector<std::uint8_t> build_frame(SnapshotKind kind,
+                                      const std::function<void(Writer&)>& write_payload,
+                                      std::size_t payload_hint = 0);
 
 /// Wrap a payload in a frame (magic, version, kind, length, CRC).
 std::vector<std::uint8_t> build_frame(SnapshotKind kind,

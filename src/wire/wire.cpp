@@ -4,6 +4,8 @@
 #include <bit>
 #include <cstring>
 
+#include "util/simd.hpp"
+
 namespace hhh::wire {
 
 const char* to_string(WireError e) noexcept {
@@ -151,6 +153,9 @@ std::uint64_t load_le64(const std::uint8_t* p) noexcept {
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) noexcept {
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
   const auto* p = static_cast<const std::uint8_t*>(data);
+  const std::size_t folded = simd::crc32_fold(c, p, len);
+  p += folded;
+  len -= folded;
   for (; len >= 8; p += 8, len -= 8) {
     const std::uint64_t w = load_le64(p) ^ c;
     c = kCrc[7][w & 0xFF] ^ kCrc[6][(w >> 8) & 0xFF] ^ kCrc[5][(w >> 16) & 0xFF] ^

@@ -189,8 +189,11 @@ class Reader {
   std::uint16_t version_ = kWireVersion;
 };
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over a byte range,
-/// computed slice-by-8 (eight bytes per table step, any alignment).
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) over a byte range, any
+/// alignment. Buffers of 64 bytes or more fold their 16-byte blocks with
+/// the PCLMULQDQ kernel (simd::crc32_fold) where the CPU has it; the
+/// slice-by-8 table loop (eight bytes per step) takes the tail, short
+/// buffers, other CPUs and HHH_NO_SIMD runs, with identical values.
 /// `seed` chains incremental computations (pass the previous return).
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed = 0) noexcept;
 

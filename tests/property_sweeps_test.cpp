@@ -206,6 +206,14 @@ TEST_P(HierarchySweep, ConditionedCountsPartitionTraffic) {
     }
     EXPECT_LE(sum, agg.total_bytes());
   }
+
+  // At about one packet's bytes, HHHs nest three and more deep on every
+  // hierarchy, so a candidate's discount must count each reported subtree
+  // once: a selection that kept a covered top after its ancestor was
+  // reported would subtract it twice here.
+  const std::uint64_t fine = agg.total_bytes() / 3000;
+  EXPECT_TRUE(harness::hhh_sets_equal(extract_hhh(agg, fine), totals.select(fine)))
+      << "threshold " << fine;
 }
 
 INSTANTIATE_TEST_SUITE_P(Hierarchies, HierarchySweep, ::testing::Values(0, 1, 2));
@@ -262,6 +270,12 @@ TEST_P(V6HierarchySweep, LevelCountersAgreeWithTrieOnRandomStreams) {
     EXPECT_TRUE(harness::hhh_sets_equal(set, totals.select(threshold)))
         << "threshold " << threshold;
   }
+
+  // About one packet's bytes: HHHs nest three and more deep, so each
+  // reported subtree must be discounted once (see HierarchySweep).
+  const std::uint64_t fine = agg.total_bytes() / 3000;
+  EXPECT_TRUE(harness::hhh_sets_equal(extract_hhh(agg, fine), totals.select(fine)))
+      << "threshold " << fine;
 
   // T=1 partitions every byte, exactly as in the v4 domain.
   const auto all = extract_hhh(agg, 1);

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +20,9 @@
 #include "harness/engine_registry.hpp"
 #include "harness/sweep.hpp"
 #include "harness/trace_builder.hpp"
+#include "service/frame_stream.hpp"
 #include "util/random.hpp"
+#include "util/simd.hpp"
 #include "wire/codec.hpp"
 #include "wire/snapshot.hpp"
 #include "wire/wire.hpp"
@@ -115,34 +118,78 @@ TEST(WirePrimitives, Crc32MatchesKnownVector) {
   EXPECT_EQ(wire::crc32("123456789", 9), 0xCBF43926u);
 }
 
-/// The textbook one-byte-per-step CRC-32: the specification the sliced
-/// kernel must reproduce bit for bit.
-std::uint32_t bytewise_crc32(const std::uint8_t* data, std::size_t len) {
-  std::uint32_t c = 0xFFFFFFFFu;
+/// The textbook one-byte-per-step CRC-32 register: the specification both
+/// the folding kernel and the sliced table loop must reproduce bit for bit.
+/// `c` is the inverted running value (seed ^ 0xFFFFFFFF to start).
+std::uint32_t bytewise_step(std::uint32_t c, const std::uint8_t* data, std::size_t len) {
   for (std::size_t i = 0; i < len; ++i) {
     c ^= data[i];
     for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
   }
-  return c ^ 0xFFFFFFFFu;
+  return c;
+}
+
+std::uint32_t bytewise_crc32(const std::uint8_t* data, std::size_t len,
+                             std::uint32_t seed = 0) {
+  return bytewise_step(seed ^ 0xFFFFFFFFu, data, len) ^ 0xFFFFFFFFu;
+}
+
+std::vector<std::uint8_t> random_bytes(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<std::uint8_t> buf(n);
+  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  return buf;
 }
 
 TEST(WirePrimitives, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
-  Rng rng(0xC3C32);
-  std::vector<std::uint8_t> buf(257 + 8);
-  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
-  for (std::size_t offset = 0; offset < 8; ++offset) {
-    for (std::size_t len = 0; len <= 257; ++len) {
-      const std::uint8_t* p = buf.data() + offset;
-      ASSERT_EQ(wire::crc32(p, len), bytewise_crc32(p, len))
+  // Every length through the short-buffer path, the 64-byte threshold,
+  // the single-block folds and many rounds of the 4-way fold loop, each
+  // with every tail length and every start offset within a 16-byte block.
+  RecordProperty("pclmul", simd::have_pclmul() ? "yes" : "no");
+  constexpr std::size_t kMaxLen = 2048;
+  const std::vector<std::uint8_t> buf = random_bytes(0xC3C32, kMaxLen + 16);
+  for (std::size_t offset = 0; offset < 16; ++offset) {
+    const std::uint8_t* p = buf.data() + offset;
+    std::uint32_t reference = 0xFFFFFFFFu;  // register over p[0, len)
+    for (std::size_t len = 0; len <= kMaxLen; ++len) {
+      ASSERT_EQ(wire::crc32(p, len), reference ^ 0xFFFFFFFFu)
           << "offset " << offset << " length " << len;
+      reference = bytewise_step(reference, p + len, 1);
     }
   }
 }
 
+TEST(WirePrimitives, Crc32MatchesBytewiseReferenceAroundOneMebibyte) {
+  constexpr std::size_t kMiB = std::size_t{1} << 20;
+  const std::vector<std::uint8_t> buf = random_bytes(0x1F1B, kMiB + 128);
+  Rng rng(0x1E1E);
+  std::vector<std::size_t> lengths = {kMiB - 1, kMiB, kMiB + 15, kMiB + 64};
+  for (int i = 0; i < 4; ++i) lengths.push_back(kMiB - 64 + rng.next() % 128);
+  for (const std::size_t len : lengths) {
+    const std::size_t offset = rng.next() % 16;
+    ASSERT_EQ(wire::crc32(buf.data() + offset, len), bytewise_crc32(buf.data() + offset, len))
+        << "offset " << offset << " length " << len;
+  }
+}
+
+TEST(WirePrimitives, Crc32HonoursRandomNonZeroSeeds) {
+  const std::vector<std::uint8_t> buf = random_bytes(0x5EED5, 1024 + 16);
+  Rng rng(0xA11CE);
+  for (int i = 0; i < 2000; ++i) {
+    std::uint32_t seed = 0;
+    while (seed == 0) seed = static_cast<std::uint32_t>(rng.next());
+    const std::size_t offset = rng.next() % 16;
+    const std::size_t len = rng.next() % 1025;
+    ASSERT_EQ(wire::crc32(buf.data() + offset, len, seed),
+              bytewise_crc32(buf.data() + offset, len, seed))
+        << "seed " << seed << " offset " << offset << " length " << len;
+  }
+}
+
 TEST(WirePrimitives, Crc32SeedChainsAcrossSplits) {
-  Rng rng(0x5EED);
-  std::vector<std::uint8_t> buf(257);
-  for (auto& b : buf) b = static_cast<std::uint8_t>(rng.next());
+  // Splits on both sides of the 64-byte threshold: a short head chaining
+  // into a folded tail, a folded head into a short tail, and both folded.
+  const std::vector<std::uint8_t> buf = random_bytes(0x5EED, 777);
   const std::uint32_t whole = wire::crc32(buf.data(), buf.size());
   ASSERT_EQ(whole, bytewise_crc32(buf.data(), buf.size()));
   for (std::size_t split = 0; split <= buf.size(); ++split) {
@@ -342,6 +389,77 @@ TEST(WireSnapshotFraming, ConcatenatedFramesParseSequentially) {
     ++frames;
   }
   EXPECT_EQ(frames, 2);
+}
+
+/// Little-endian bytes appended field by field, independently of
+/// wire::Writer: the hand-built side of the framing pin below.
+struct LeBytes {
+  std::vector<std::uint8_t> bytes;
+  LeBytes& le(std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) bytes.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    return *this;
+  }
+  LeBytes& raw(std::span<const std::uint8_t> b) {
+    bytes.insert(bytes.end(), b.begin(), b.end());
+    return *this;
+  }
+};
+
+/// The frame the layout table in wire/snapshot.hpp describes: magic,
+/// version, kind, u64 payload length, payload, bytewise CRC-32.
+std::vector<std::uint8_t> reference_frame(wire::SnapshotKind kind,
+                                          std::span<const std::uint8_t> payload) {
+  LeBytes f;
+  f.raw(wire::kSnapshotMagic)
+      .le(wire::kSnapshotVersion, 2)
+      .le(static_cast<std::uint16_t>(kind), 2)
+      .le(payload.size(), 8)
+      .raw(payload);
+  return f.le(bytewise_crc32(f.bytes.data(), f.bytes.size()), 4).bytes;
+}
+
+TEST(WireSnapshotFraming, EveryFrameBuilderMatchesTheHandBuiltLayout) {
+  int engines = 0;
+  for (const auto& c : harness::conformance_engines()) {
+    auto engine = c.make();
+    if (!engine->serializable()) continue;
+    engine->add_batch(
+        harness::TraceBuilder(31).compact_space().v6_fraction(c.v6_fraction).packets(3000));
+    std::vector<std::uint8_t> state;
+    wire::Writer w(state);
+    engine->save_state(w);
+    ASSERT_EQ(wire::save_engine(*engine),
+              reference_frame(wire::engine_snapshot_kind(*engine), state))
+        << c.name;
+    ++engines;
+  }
+  EXPECT_GT(engines, 0);
+
+  const std::vector<std::uint8_t> inner = valid_frame();
+  const auto epoch = LeBytes{}
+                         .le(service::kStreamProtoVersion, 2)
+                         .le(static_cast<std::uint64_t>(std::int64_t{-5}), 8)
+                         .le(1'000'000'007, 8)
+                         .le(42, 8)
+                         .raw(inner)
+                         .bytes;
+  EXPECT_EQ(service::build_epoch(-5, 1'000'000'007, 42, inner),
+            reference_frame(wire::SnapshotKind::kEpochFrame, epoch));
+
+  const std::string vantage = "edge-7";
+  const auto hello = LeBytes{}
+                         .le(service::kStreamProtoVersion, 2)
+                         .le(vantage.size(), 4)
+                         .raw(std::span(reinterpret_cast<const std::uint8_t*>(vantage.data()),
+                                        vantage.size()))
+                         .le(250'000'000, 8)
+                         .bytes;
+  EXPECT_EQ(service::build_hello(service::Hello{.vantage = vantage, .window_ns = 250'000'000}),
+            reference_frame(wire::SnapshotKind::kStreamHello, hello));
+
+  const auto bye = LeBytes{}.le(service::kStreamProtoVersion, 2).le(17, 8).bytes;
+  EXPECT_EQ(service::build_bye(service::Bye{.frames_sent = 17}),
+            reference_frame(wire::SnapshotKind::kStreamBye, bye));
 }
 
 TEST(WireSnapshotFraming, FileRoundTripSurvivesRename) {

@@ -155,7 +155,9 @@ def main():
             print(f"{name:<22} gone (in baseline, not in current run)")
 
     # The frame checksum kernel: every snapshot build and parse above runs
-    # wire::crc32 once over the whole frame.
+    # wire::crc32 once over the whole frame. An epoch frame on the
+    # vantage -> collector path is checked twice on each side: the inner
+    # engine frame, and the envelope that carries it.
     crc = cur.get("wire_crc32")
     if crc is not None:
         base_crc = base.get("wire_crc32")
